@@ -1,5 +1,6 @@
 #include "emu/address_space.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace lfi::emu {
@@ -208,24 +209,48 @@ Result<uint32_t> AddressSpace::Fetch(uint64_t addr) const {
          (uint32_t{d[off + 2]} << 16) | (uint32_t{d[off + 3]} << 24);
 }
 
+bool AddressSpace::HostRangeMapped(uint64_t addr, uint64_t len,
+                                   bool* exec) const {
+  if (exec != nullptr) *exec = false;
+  if (len == 0) return true;
+  if (RangeWraps(addr, len)) return false;
+  for (uint64_t p = addr / kPageSize; p <= (addr + len - 1) / kPageSize;
+       ++p) {
+    auto it = pages_.find(p);
+    if (it == pages_.end()) return false;
+    if (exec != nullptr && WriteTouchesExec(it->second.perms)) *exec = true;
+  }
+  return true;
+}
+
 Status AddressSpace::HostRead(uint64_t addr, std::span<uint8_t> out) const {
-  for (size_t k = 0; k < out.size(); ++k) {
-    const Page* page = FindPage(addr + k);
-    if (page == nullptr) return Status::Fail("host read: unmapped");
-    out[k] = (*page->data)[(addr + k) & kPageMask];
+  if (!HostRangeMapped(addr, out.size(), nullptr)) {
+    return Status::Fail("host read: unmapped");
+  }
+  for (size_t k = 0; k < out.size();) {
+    const uint64_t off = (addr + k) & kPageMask;
+    const size_t n = std::min<uint64_t>(out.size() - k, kPageSize - off);
+    std::memcpy(out.data() + k, FindPage(addr + k)->data->data() + off, n);
+    k += n;
   }
   return Status::Ok();
 }
 
 Status AddressSpace::HostWrite(uint64_t addr, std::span<const uint8_t> data) {
-  bool exec_touched = false;
-  for (size_t k = 0; k < data.size(); ++k) {
-    auto it = pages_.find((addr + k) / kPageSize);
-    if (it == pages_.end()) return Status::Fail("host write: unmapped");
-    exec_touched = exec_touched || WriteTouchesExec(it->second.perms);
-    WritablePage(&it->second)[(addr + k) & kPageMask] = data[k];
+  // Validate the whole range first so a failure writes nothing (and so
+  // the generation bump can never be skipped after exec bytes changed).
+  bool exec = false;
+  if (!HostRangeMapped(addr, data.size(), &exec)) {
+    return Status::Fail("host write: unmapped");
   }
-  if (exec_touched) ++generation_;
+  if (exec) ++generation_;
+  for (size_t k = 0; k < data.size();) {
+    const uint64_t off = (addr + k) & kPageMask;
+    const size_t n = std::min<uint64_t>(data.size() - k, kPageSize - off);
+    Page& page = pages_.find((addr + k) / kPageSize)->second;
+    std::memcpy(WritablePage(&page) + off, data.data() + k, n);
+    k += n;
+  }
   return Status::Ok();
 }
 
@@ -259,38 +284,6 @@ const AddressSpace::PageData* AddressSpace::PagePayload(
   if (page == nullptr) return nullptr;
   if (perms != nullptr) *perms = page->perms;
   return page->data.get();
-}
-
-void AddressSpace::CloneInto(AddressSpace* child) const {
-  child->pages_ = pages_;  // shared_ptr copy: COW
-  child->exec_pages_ = exec_pages_;
-  ++child->generation_;
-  ++child->payload_epoch_;
-  // The parent's payloads are now shared too: its next write must copy,
-  // so its cached writable pointers are stale as well.
-  ++payload_epoch_;
-}
-
-Status AddressSpace::ShareRange(uint64_t src, uint64_t dst, uint64_t len) {
-  if (!PageAligned(src) || !PageAligned(dst) || !PageAligned(len)) {
-    return Status::Fail("share: unaligned range");
-  }
-  if (len == 0) return Status::Ok();
-  if (RangeWraps(src, len) || RangeWraps(dst, len)) {
-    return Status::Fail("share: range wraps");
-  }
-  for (uint64_t off = 0; off < len; off += kPageSize) {
-    auto it = pages_.find((src + off) / kPageSize);
-    if (it == pages_.end()) continue;  // holes stay holes
-    const uint64_t dpage = (dst + off) / kPageSize;
-    // Copy out first: pages_[dpage] may rehash and invalidate `it`.
-    Page src_page = it->second;
-    NoteExec(dpage, src_page.perms);
-    pages_[dpage] = std::move(src_page);
-  }
-  ++generation_;
-  ++payload_epoch_;
-  return Status::Ok();
 }
 
 AddressSpace::PageProbe AddressSpace::ProbeDataPage(uint64_t pageno,

@@ -7,7 +7,7 @@
 // paper's memfd-based approach.
 //
 // Mutation generation: every operation that can change what an instruction
-// fetch observes -- Map, Unmap, Protect, ShareRange, CloneInto, and any
+// fetch observes -- Map, Unmap, Protect, InstallPage, and any
 // guest/host write that lands on an executable page -- bumps a monotonically
 // increasing counter. The Machine's decoded-block cache is stamped with the
 // generation it was filled under and revalidates the stamp on every block
@@ -124,19 +124,12 @@ class AddressSpace {
   // The most recent fault from a failed Read/Write/Fetch.
   const MemFault& last_fault() const { return last_fault_; }
 
-  // Host (trusted runtime) accesses: require the page to be mapped but
-  // ignore permission bits, like the runtime writing a sandbox's read-only
-  // call-table page at setup time.
+  // Host (trusted runtime) accesses: require every page of the range to
+  // be mapped but ignore permission bits, like the runtime writing a
+  // sandbox's read-only call-table page. All or nothing: a range with an
+  // unmapped page fails before any byte is copied.
   Status HostRead(uint64_t addr, std::span<uint8_t> out) const;
   Status HostWrite(uint64_t addr, std::span<const uint8_t> data);
-
-  // Copies all mappings into `child` copy-on-write (both spaces then share
-  // page contents until one writes). Used by fork.
-  void CloneInto(AddressSpace* child) const;
-
-  // Duplicates the pages in [src, src+len) at dst (copy-on-write), used to
-  // place a forked child at a new sandbox base within the same space.
-  Status ShareRange(uint64_t src, uint64_t dst, uint64_t len);
 
   // Snapshot support (src/snapshot/, docs/SNAPSHOTS.md). ExportPage hands
   // out shared ownership of the page's payload plus its perms (nullptr if
@@ -161,8 +154,8 @@ class AddressSpace {
 
   // Monotonic counter of events that can invalidate a cached raw page
   // payload pointer: mapping/permission changes, payload replacement
-  // (COW), and sharing-state changes (ExportPage/CloneInto make a cached
-  // *writable* pointer unsafe, because the next write must copy first).
+  // (COW), and sharing-state changes (ExportPage makes a cached *writable*
+  // pointer unsafe, because the next write must copy first).
   // The Machine's data TLB revalidates against this on every access.
   // (In-place byte writes don't bump it: a cached pointer then still
   // observes the current bytes, which is exactly the slow path's view.)
@@ -201,6 +194,10 @@ class AddressSpace {
   };
 
   const Page* FindPage(uint64_t addr) const;
+  // True if every page of [addr, addr+len) is mapped (whatever its perms)
+  // and the range does not wrap; *exec (if given) tells whether a write
+  // there touches an executable page.
+  bool HostRangeMapped(uint64_t addr, uint64_t len, bool* exec) const;
   // Returns a writable pointer to the page's data, copying if shared (a
   // copy replaces the payload pointer, so it bumps payload_epoch_).
   uint8_t* WritablePage(Page* page);
@@ -221,9 +218,9 @@ class AddressSpace {
   // Protect detect exec transitions.
   std::unordered_set<uint64_t> exec_pages_;
   uint64_t generation_ = 0;
-  // See payload_epoch(). Mutable because const operations can change
-  // sharing state (ExportPage, CloneInto's parent side): they don't alter
-  // this space's contents, but they do invalidate cached rw pointers.
+  // See payload_epoch(). Mutable because a const operation (ExportPage)
+  // changes sharing state: it doesn't alter this space's contents, but it
+  // does invalidate cached rw pointers.
   mutable uint64_t payload_epoch_ = 0;
 };
 

@@ -120,12 +120,14 @@ bool Machine::ExecChainedRange(const Block& blk, size_t take) {
                     static_cast<size_t>(Mn::kMsr) + 1,
                 "dispatch table must cover every mnemonic");
 
-  // Direct threading: resolve each instruction's handler label once (the
-  // block's first execution) so steady-state dispatch skips the table.
-  if (di->exec_label == nullptr) {
+  // Direct threading: resolve each instruction's handler label once per
+  // block and instantiation, so steady-state dispatch skips the table.
+  constexpr uint8_t kLabelsFor = kCounting ? 2 : 1;
+  if (blk.labels_for != kLabelsFor) {
     for (const DecodedInst& d : blk.insts) {
       d.exec_label = kTargets[static_cast<size_t>(d.inst.mn)];
     }
+    blk.labels_for = kLabelsFor;
   }
   goto* const_cast<void*>(di->exec_label);
 

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "arch/decode.h"
-#include "emu/backend.h"
 #include "emu/machine_internal.h"
 
 namespace lfi::emu {
@@ -177,14 +176,25 @@ const Machine::Block* Machine::FetchBlock(uint64_t pc) {
   return nb;
 }
 
+StopReason Machine::RunBackend(uint64_t max_instructions) {
+  switch (dispatch_) {
+    case Dispatch::kStep:
+      return RunSteps(max_instructions);
+    case Dispatch::kBlock:
+      return RunBlocks(max_instructions);
+    case Dispatch::kChained:
+      return RunChained(max_instructions);
+  }
+  return RunChained(max_instructions);
+}
+
 StopReason Machine::Run(uint64_t max_instructions) {
-  const EmuBackend& be = BackendFor(dispatch_);
-  if (counters_ == nullptr) return be.Run(this, max_instructions);
+  if (counters_ == nullptr) return RunBackend(max_instructions);
   // Retired instructions are counted as a Timing delta around the whole
   // run rather than per instruction: Timing::Issue already increments its
   // own retire counter on the hot path, so this is exact and free.
   const uint64_t retired_before = timing_.Retired();
-  const StopReason r = be.Run(this, max_instructions);
+  const StopReason r = RunBackend(max_instructions);
   counters_->retired += timing_.Retired() - retired_before;
   return r;
 }

@@ -14,7 +14,7 @@
 // then executed with zero lookups.
 //
 // Invalidation contract: the block cache is stamped with
-// AddressSpace::mutation_generation(), which Map/Unmap/Protect/ShareRange
+// AddressSpace::mutation_generation(), which Map/Unmap/Protect/InstallPage
 // and any write landing on an executable page bump. A stamp mismatch at
 // block-entry drops every cached block, so executing stale code after a
 // remap is structurally impossible -- no caller cooperation needed.
@@ -25,17 +25,16 @@
 // basic block mid-flight; real hardware requires an ISB there, and the
 // runtime's W^X policy forbids it entirely.
 //
-// Backends. Run() routes through a small strategy interface (EmuBackend,
-// emu/backend.h) selected by set_dispatch(). kBlock and kStep are the
-// reference interpreters (the switch in ExecInst); kChained is the
-// optimized backend (backend_chained.cc): blocks record their static
-// fallthrough/direct-branch successors and hot loops jump block->block
-// without re-entering the dispatch loop, the inner loop is
-// direct-threaded (computed goto) where the compiler supports it, and
-// data accesses go through a small per-Machine page-pointer TLB validated
-// against AddressSpace::payload_epoch(). All backends share the op bodies
-// in exec_ops.inc, and kChained is required to keep simulated cycles,
-// retired counts, ExecCounters, and traces bit-identical to kBlock (see
+// Backends. Run() switches on the Dispatch mode selected by set_dispatch().
+// kBlock and kStep are the reference interpreters (the switch in ExecInst);
+// kChained is the optimized backend (backend_chained.cc): blocks record their
+// static fallthrough/direct-branch successors and hot loops jump block->block
+// without re-entering the dispatch loop, the inner loop is direct-threaded
+// (computed goto) where the compiler supports it, and data accesses go through
+// a small per-Machine page-pointer TLB validated against
+// AddressSpace::payload_epoch(). All backends share the op bodies in
+// exec_ops.inc, and kChained is required to keep simulated cycles, retired
+// counts, ExecCounters, and traces bit-identical to kBlock (see
 // docs/DISPATCH.md for the argument and the invalidation contract).
 #ifndef LFI_EMU_MACHINE_H_
 #define LFI_EMU_MACHINE_H_
@@ -240,8 +239,9 @@ class Machine {
     arch::InstCost cost;
     uint8_t class_flags;
     // Direct-threading slot: the chained backend caches the computed-goto
-    // label for inst.mn here on a block's first execution, so steady-state
+    // label for inst.mn here when its block first runs, so steady-state
     // dispatch is one load + one indirect jump (no table indexing). The
+    // label belongs to the instantiation named by Block::labels_for. The
     // reference backends never read it.
     mutable const void* exec_label = nullptr;
   };
@@ -268,6 +268,11 @@ class Machine {
     uint64_t branch_pc = kNoSucc;
     mutable const Block* fall_link = nullptr;
     mutable const Block* branch_link = nullptr;
+    // Which ExecChainedRange instantiation resolved the insts'
+    // exec_label slots: 0 none, 1 untraced, 2 counting. Labels point into
+    // one instantiation's body, so attaching or detaching counters makes
+    // the other one re-resolve them.
+    mutable uint8_t labels_for = 0;
   };
 
   // Legacy per-page decode cache (Dispatch::kStep).
@@ -276,6 +281,8 @@ class Machine {
     std::vector<uint8_t> status;     // 0 = undecoded, 1 = ok, 2 = bad
   };
 
+  // Run()'s body: the interpreter loop dispatch_ selects.
+  StopReason RunBackend(uint64_t max_instructions);
   StopReason RunBlocks(uint64_t max_instructions);
   StopReason RunSteps(uint64_t max_instructions);
 
@@ -430,9 +437,6 @@ class Machine {
     }
   }
 
-  friend class StepBackend;
-  friend class BlockBackend;
-  friend class ChainedBackend;
 };
 
 }  // namespace lfi::emu

@@ -54,10 +54,26 @@ static_assert(static_cast<int>(snapshot::FdRec::Kind::kFile) ==
 static_assert(static_cast<int>(snapshot::FdRec::Kind::kPipeWrite) ==
               static_cast<int>(FileDesc::Kind::kPipeWrite));
 
+// The runtime-call table page at every slot's base: entry n holds the
+// runtime address of call n; unused entries point at an unmapped page.
+std::shared_ptr<emu::AddressSpace::PageData> MakeCallTablePage() {
+  auto page = std::make_shared<emu::AddressSpace::PageData>();
+  for (uint64_t n = 0; n < kPage / 8; ++n) {
+    const uint64_t entry = n < static_cast<uint64_t>(Rtcall::kCount)
+                               ? kRuntimeEntryBase + n * kRuntimeEntryGranule
+                               : 0x4000;
+    std::memcpy(page->data() + n * 8, &entry, 8);
+  }
+  return page;
+}
+
 }  // namespace
 
 Runtime::Runtime(RuntimeConfig cfg)
-    : cfg_(std::move(cfg)), machine_(&space_, cfg_.core) {
+    : cfg_(std::move(cfg)),
+      machine_(&space_, cfg_.core),
+      call_table_page_(MakeCallTablePage()),
+      zero_page_(std::make_shared<emu::AddressSpace::PageData>()) {
   machine_.set_dispatch(cfg_.dispatch);
   machine_.SetRuntimeRegion(
       kRuntimeEntryBase,
@@ -112,45 +128,9 @@ void Runtime::FreeSlot(Proc* p) {
   // its next block entry (see emu/machine.h).
   free_slots_.push_back(p->slot);
   --used_slots_;
-}
-
-Status Runtime::MapSlotCommon(Proc* p) {
-  // Call table page at the very base, written then locked read-only.
-  if (auto st = space_.Map(p->base, kPage, kPermRead | kPermWrite); !st.ok()) {
-    return st;
-  }
-  for (uint64_t n = 0; n < kPage / 8; ++n) {
-    uint64_t entry = 0x4000;  // unused entries point at an unmapped page
-    if (n < static_cast<uint64_t>(Rtcall::kCount)) {
-      entry = kRuntimeEntryBase + n * kRuntimeEntryGranule;
-    }
-    uint8_t bytes[8];
-    std::memcpy(bytes, &entry, 8);
-    if (auto st = space_.HostWrite(p->base + n * 8, bytes); !st.ok()) {
-      return st;
-    }
-  }
-  if (auto st = space_.Protect(p->base, kPage, kPermRead); !st.ok()) {
-    return st;
-  }
-  p->mappings[0] = {kPage, kPermRead};
-
-  // Stack at the top of the usable area.
-  const uint64_t stack_base = kProgramEnd - kStackSize;
-  if (auto st = space_.Map(p->base + stack_base, kStackSize,
-                           kPermRead | kPermWrite);
-      !st.ok()) {
-    return st;
-  }
-  p->mappings[stack_base] = {kStackSize, kPermRead | kPermWrite};
-  return Status::Ok();
-}
-
-void Runtime::InitFds(Proc* p) {
-  p->fds.resize(16);
-  p->fds[0].kind = FileDesc::Kind::kStdin;
-  p->fds[1].kind = FileDesc::Kind::kStdout;
-  p->fds[2].kind = FileDesc::Kind::kStderr;
+  // Every caller marks p dead, and dead procs are never restored, so the
+  // checkpoint's payloads can go.
+  p->snapshot.reset();
 }
 
 Result<int> Runtime::Load(std::span<const uint8_t> elf_bytes) {
@@ -177,6 +157,110 @@ Result<int> Runtime::LoadImage(const elf::ElfImage& image) {
     }
   }
 
+  auto snap = LoadSnapshot(image);
+  if (!snap) return Error{snap.error()};
+  auto p = Instantiate(*std::move(snap), nullptr);
+  if (!p) return Error{p.error()};
+  const uint64_t pages = (*p)->snapshot->pages.size();
+  last_instantiation_ = {InstantiationStats::Method::kElfLoad,
+                         cfg_.elf_load_base_cycles +
+                             cfg_.elf_load_page_cycles * pages,
+                         pages, 0, 0};
+  Enqueue((*p)->pid);
+  return (*p)->pid;
+}
+
+Result<std::shared_ptr<const snapshot::Snapshot>> Runtime::LoadSnapshot(
+    const elf::ElfImage& image) const {
+  auto snap = std::make_shared<snapshot::Snapshot>();
+  auto& maps = snap->mappings;
+  // Call table page at the very base, stack at the top of the usable area.
+  maps[0] = {kPage, kPermRead};
+  maps[kProgramEnd - kStackSize] = {kStackSize, kPermRead | kPermWrite};
+
+  // Segments, keyed like their mappings, so pages can find their bytes.
+  std::map<uint64_t, const elf::Segment*> seg_at;
+  uint64_t max_data_end = kProgramStart;
+  for (const auto& seg : image.segments) {
+    const uint64_t start = seg.vaddr;
+    const uint64_t end = seg.vaddr + std::max<uint64_t>(seg.memsz,
+                                                        seg.data.size());
+    if (start < kProgramStart || end > kProgramEnd - kStackSize) {
+      return Error{"segment outside the loadable sandbox area"};
+    }
+    if (seg.exec && end > kCodeEnd) {
+      return Error{"executable segment within 128MiB of the slot end"};
+    }
+    if (seg.exec && seg.write) {
+      return Error{"W^X violation: segment is writable and executable"};
+    }
+    const uint64_t page_start = AlignDown(start, kPage);
+    const uint64_t page_end = AlignUp(end, kPage);
+    for (const auto& [off, range] : maps) {
+      if (page_start < off + range.first && off < page_end) {
+        return Error{"segments share a page"};
+      }
+    }
+    uint8_t perms = 0;
+    if (seg.read) perms |= kPermRead;
+    if (seg.write) perms |= kPermWrite;
+    if (seg.exec) perms |= kPermExec;
+    maps[page_start] = {page_end - page_start, perms};
+    seg_at[page_start] = &seg;
+    max_data_end = std::max(max_data_end, page_end);
+  }
+
+  // One payload per page holding file bytes; every other page shares the
+  // runtime's zero page (the on-disk format elides those anyway).
+  for (const auto& [off, range] : maps) {
+    const auto it = seg_at.find(off);
+    const elf::Segment* seg = it == seg_at.end() ? nullptr : it->second;
+    for (uint64_t po = off; po < off + range.first; po += kPage) {
+      auto data = off == 0 ? call_table_page_ : zero_page_;
+      if (seg != nullptr) {
+        const uint64_t lo = std::max(po, seg->vaddr);
+        const uint64_t hi = std::min(po + kPage, seg->vaddr + seg->data.size());
+        if (lo < hi) {
+          data = std::make_shared<emu::AddressSpace::PageData>();
+          std::memcpy(data->data() + (lo - po),
+                      seg->data.data() + (lo - seg->vaddr), hi - lo);
+        }
+      }
+      snap->pages.push_back({po, range.second, std::move(data)});
+    }
+  }
+
+  snap->brk_start = max_data_end;
+  snap->brk = max_data_end;
+  snap->brk_mapped = max_data_end;
+  snap->mmap_cursor = kProgramEnd - kStackSize - (uint64_t{64} << 20);
+
+  // Initial CPU state: all reserved registers satisfy their invariants
+  // (slot-relative here, so the sandbox-base registers are all zero).
+  emu::CpuState cpu;
+  cpu.pc = image.entry;
+  cpu.sp = kProgramEnd - 64;
+  cpu.x[30] = image.entry;
+  snap->cpu = RelativizeCpu(cpu);
+
+  snap->fds.resize(16);
+  snap->fds[0].kind = snapshot::FdRec::Kind::kStdin;
+  snap->fds[1].kind = snapshot::FdRec::Kind::kStdout;
+  snap->fds[2].kind = snapshot::FdRec::Kind::kStderr;
+  return std::shared_ptr<const snapshot::Snapshot>(std::move(snap));
+}
+
+Result<Proc*> Runtime::Instantiate(
+    std::shared_ptr<const snapshot::Snapshot> snap, const Proc* parent) {
+  // Checked up front so installing cannot fail half-way: a page outside
+  // the slot would land in a neighbour's.
+  for (const auto& rec : snap->pages) {
+    if (rec.offset % kPage != 0 || rec.offset >= kSlotSize ||
+        rec.data == nullptr) {
+      return Error{"instantiate: bad page record at offset " +
+                   std::to_string(rec.offset)};
+    }
+  }
   auto slot = AllocSlot();
   if (!slot) return Error{slot.error()};
 
@@ -184,96 +268,51 @@ Result<int> Runtime::LoadImage(const elf::ElfImage& image) {
   p->pid = AllocPid();
   p->slot = *slot;
   p->base = SlotBase(*slot);
-  p->policy = cfg_.default_policy;
-
-  if (auto st = MapSlotCommon(p.get()); !st.ok()) return Error{st.error()};
-  if (auto st = MapImage(p.get(), image); !st.ok()) return Error{st.error()};
-  // Keep a copy of the (verified) image so the legacy reload-restart path
-  // stays benchmarkable without re-reading or re-verifying.
-  p->image = std::make_shared<const elf::ElfImage>(image);
-  InitFds(p.get());
-
-  uint64_t pages = 0;
-  for (const auto& [off, range] : p->mappings) pages += range.first / kPage;
-  last_instantiation_ = {InstantiationStats::Method::kElfLoad,
-                         cfg_.elf_load_base_cycles +
-                             cfg_.elf_load_page_cycles * pages,
-                         pages, 0, 0};
-
-  // Post-load checkpoint: what the restart policy rolls back to, and what
-  // spawn pools clone. Capture is O(pages) shared_ptr copies, no memory.
-  auto snap = std::make_shared<snapshot::Snapshot>();
-  if (CaptureInto(p.get(), snap.get()).ok()) p->snapshot = std::move(snap);
-
-  const int pid = p->pid;
-  procs_[pid] = std::move(p);
-  Enqueue(pid);
-  return pid;
+  for (const auto& rec : snap->pages) {
+    (void)space_.InstallPage(p->base + rec.offset, rec.data, rec.perms);
+  }
+  ApplySnapshot(p.get(), *snap);
+  if (parent == nullptr) {
+    p->policy = cfg_.default_policy;
+    p->fds = RestoreFds(snap->fds);
+  } else {
+    p->ppid = parent->pid;
+    p->policy = parent->policy;  // fault policy and limits are inherited
+    // Descriptors duplicate LIVE from the parent, not from the fd records:
+    // the child must share the parent's pipe objects (a rehydrated pipe is
+    // a private copy and would sever parent<->child pipelines).
+    p->fds = parent->fds;
+    for (auto& d : p->fds) {
+      if (d.kind == FileDesc::Kind::kPipeRead) ++d.pipe->readers;
+      if (d.kind == FileDesc::Kind::kPipeWrite) ++d.pipe->writers;
+    }
+  }
+  p->snapshot = std::move(snap);
+  Proc* raw = p.get();
+  procs_[raw->pid] = std::move(p);
+  return raw;
 }
 
-Status Runtime::MapImage(Proc* p, const elf::ElfImage& image) {
-  uint64_t max_data_end = kProgramStart;
-  for (const auto& seg : image.segments) {
-    const uint64_t start = seg.vaddr;
-    const uint64_t end = seg.vaddr + std::max<uint64_t>(seg.memsz,
-                                                        seg.data.size());
-    if (start < kProgramStart || end > kProgramEnd - kStackSize) {
-      return Status::Fail("segment outside the loadable sandbox area");
-    }
-    if (seg.exec && end > kCodeEnd) {
-      return Status::Fail("executable segment within 128MiB of the slot end");
-    }
-    if (seg.exec && seg.write) {
-      return Status::Fail("W^X violation: segment is writable and executable");
-    }
-    const uint64_t page_start = AlignDown(start, kPage);
-    const uint64_t page_end = AlignUp(end, kPage);
-    for (const auto& [off, range] : p->mappings) {
-      if (page_start < off + range.first && off < page_end) {
-        return Status::Fail("segments share a page");
-      }
-    }
-    uint8_t perms = 0;
-    if (seg.read) perms |= kPermRead;
-    if (seg.write) perms |= kPermWrite;
-    if (seg.exec) perms |= kPermExec;
-    // Map writable first to install contents, then drop to final perms.
-    if (auto st = space_.Map(p->base + page_start, page_end - page_start,
-                             kPermRead | kPermWrite);
-        !st.ok()) {
-      return st;
-    }
-    if (!seg.data.empty()) {
-      if (auto st = space_.HostWrite(p->base + start,
-                                     {seg.data.data(), seg.data.size()});
-          !st.ok()) {
-        return st;
-      }
-    }
-    if (auto st = space_.Protect(p->base + page_start,
-                                 page_end - page_start, perms);
-        !st.ok()) {
-      return st;
-    }
-    p->mappings[page_start] = {page_end - page_start, perms};
-    max_data_end = std::max(max_data_end, page_end);
+void Runtime::ApplySnapshot(Proc* p, const snapshot::Snapshot& snap) {
+  p->mappings = snap.mappings;
+  p->brk_start = snap.brk_start;
+  p->brk = snap.brk;
+  p->brk_mapped = snap.brk_mapped;
+  p->mmap_cursor = snap.mmap_cursor;
+  p->mmap_bytes = snap.mmap_bytes;
+  // Every pointer-holding reserved register is rebased by replacing its
+  // top 32 bits - exactly what the guards do on each access, which is why
+  // one image can run in any slot (Section 5.3).
+  p->cpu = RebaseCpu(snap.cpu, p->base);
+  for (size_t s = 0; s < snap.sig_handlers.size(); ++s) {
+    const uint64_t h = snap.sig_handlers[s];
+    p->sig.handlers[s] = h == 0 ? 0 : p->base | h;
   }
-
-  p->brk_start = max_data_end;
-  p->brk = max_data_end;
-  p->brk_mapped = max_data_end;
-  p->mmap_cursor = kProgramEnd - kStackSize - (uint64_t{64} << 20);
-
-  // Initial CPU state: all reserved registers satisfy their invariants.
-  p->cpu = emu::CpuState{};
-  p->cpu.pc = p->base + image.entry;
-  p->cpu.sp = p->base + kProgramEnd - 64;
-  p->cpu.x[21] = p->base;
-  p->cpu.x[18] = p->base;
-  p->cpu.x[23] = p->base;
-  p->cpu.x[24] = p->base;
-  p->cpu.x[30] = p->base + image.entry;
-  return Status::Ok();
+  p->sig.in_handler = snap.sig_in_handler;
+  p->sig.cookie = snap.sig_cookie;
+  p->sig.frame_addr =
+      snap.sig_frame_addr == 0 ? 0 : p->base | snap.sig_frame_addr;
+  p->sig.delivered = snap.sig_delivered;
 }
 
 // ---- Snapshots (docs/SNAPSHOTS.md) ----
@@ -419,49 +458,15 @@ std::vector<FileDesc> Runtime::RestoreFds(
 Result<int> Runtime::SpawnFromSnapshot(
     std::shared_ptr<const snapshot::Snapshot> snap, bool start) {
   if (snap == nullptr) return Error{"spawn: null snapshot"};
-  auto slot = AllocSlot();
-  if (!slot) return Error{slot.error()};
-
-  auto p = std::make_unique<Proc>();
-  p->pid = AllocPid();
-  p->slot = *slot;
-  p->base = SlotBase(*slot);
-  p->policy = cfg_.default_policy;
-  p->parked = !start;
-
-  for (const auto& rec : snap->pages) {
-    if (auto st = space_.InstallPage(p->base + rec.offset, rec.data,
-                                     rec.perms);
-        !st.ok()) {
-      return Error{st.error()};
-    }
-  }
-  p->mappings = snap->mappings;
-  p->brk_start = snap->brk_start;
-  p->brk = snap->brk;
-  p->brk_mapped = snap->brk_mapped;
-  p->mmap_cursor = snap->mmap_cursor;
-  p->mmap_bytes = snap->mmap_bytes;
-  p->cpu = RebaseCpu(snap->cpu, p->base);
-  for (size_t s = 0; s < snap->sig_handlers.size(); ++s) {
-    const uint64_t h = snap->sig_handlers[s];
-    p->sig.handlers[s] = h == 0 ? 0 : p->base | h;
-  }
-  p->sig.in_handler = snap->sig_in_handler;
-  p->sig.cookie = snap->sig_cookie;
-  p->sig.frame_addr =
-      snap->sig_frame_addr == 0 ? 0 : p->base | snap->sig_frame_addr;
-  p->sig.delivered = snap->sig_delivered;
-  p->fds = RestoreFds(snap->fds);
-  p->snapshot = std::move(snap);
-
-  const uint64_t pages = p->snapshot->pages.size();
+  auto p = Instantiate(std::move(snap), nullptr);
+  if (!p) return Error{p.error()};
+  (*p)->parked = !start;
+  const uint64_t pages = (*p)->snapshot->pages.size();
   last_instantiation_ = {InstantiationStats::Method::kSnapshotSpawn,
                          cfg_.snapshot_spawn_base_cycles +
                              cfg_.snapshot_spawn_page_cycles * pages,
                          pages, 0, 0};
-  const int pid = p->pid;
-  procs_[pid] = std::move(p);
+  const int pid = (*p)->pid;
   // Counter only, no ring event: spawn must not perturb the trace stream
   // (a spawned sandbox replays byte-identically against a loaded one).
   if (sink_ != nullptr) {
@@ -587,22 +592,7 @@ Status Runtime::RestoreFromSnapshot(int pid, const snapshot::Snapshot& snap) {
     ++stats.dirty_pages;
   }
 
-  p->mappings = snap.mappings;
-  p->brk_start = snap.brk_start;
-  p->brk = snap.brk;
-  p->brk_mapped = snap.brk_mapped;
-  p->mmap_cursor = snap.mmap_cursor;
-  p->mmap_bytes = snap.mmap_bytes;
-  p->cpu = RebaseCpu(snap.cpu, p->base);
-  for (size_t s = 0; s < snap.sig_handlers.size(); ++s) {
-    const uint64_t h = snap.sig_handlers[s];
-    p->sig.handlers[s] = h == 0 ? 0 : p->base | h;
-  }
-  p->sig.in_handler = snap.sig_in_handler;
-  p->sig.cookie = snap.sig_cookie;
-  p->sig.frame_addr =
-      snap.sig_frame_addr == 0 ? 0 : p->base | snap.sig_frame_addr;
-  p->sig.delivered = snap.sig_delivered;
+  ApplySnapshot(p, snap);
   p->fds = RestoreFds(snap.fds);
 
   stats.cycles = cfg_.snapshot_restore_base_cycles +
@@ -1573,73 +1563,21 @@ uint64_t Runtime::SysMunmap(Proc* p, uint64_t addr, uint64_t len) {
 }
 
 uint64_t Runtime::SysFork(Proc* p) {
-  // Fork is capture + spawn fused: freeze the parent (with the child's
-  // return value patched in) and instantiate the image in the child's
-  // slot. Installing the captured shared payloads is the same
-  // copy-on-write duplication the ShareRange path performed (the memfd
-  // trick from Section 5.3), and stashing the snapshot makes forked
-  // children restartable — the legacy image path never could (children
-  // have no ELF image).
+  // Fork is capture + instantiate fused: freeze the parent (with the
+  // child's return value patched in) and install the image in the child's
+  // slot. Installing the captured shared payloads duplicates the parent
+  // copy-on-write (the memfd trick from Section 5.3), and the stashed
+  // snapshot makes forked children restartable.
   auto snap = std::make_shared<snapshot::Snapshot>();
   if (!CaptureInto(p, snap.get()).ok()) return kEnomem;
   snap->cpu.x[0] = 0;  // fork returns 0 in the child
-
-  auto slot = AllocSlot();
-  if (!slot) return kEnomem;
-  auto child = std::make_unique<Proc>();
-  child->pid = AllocPid();
-  child->ppid = p->pid;
-  child->slot = *slot;
-  child->base = SlotBase(*slot);
-  child->state = ProcState::kReady;
-  child->policy = p->policy;  // fault policy and limits are inherited
-  child->brk_start = snap->brk_start;
-  child->brk = snap->brk;
-  child->brk_mapped = snap->brk_mapped;
-  child->mmap_cursor = snap->mmap_cursor;
-  child->mmap_bytes = snap->mmap_bytes;
-  child->mappings = snap->mappings;
-
-  // Descriptors duplicate LIVE from the parent, not from the fd records:
-  // the child must share the parent's pipe objects (a rehydrated pipe is
-  // a private copy and would sever parent<->child pipelines).
-  child->fds = p->fds;
-  for (auto& d : child->fds) {
-    if (d.kind == FileDesc::Kind::kPipeRead) ++d.pipe->readers;
-    if (d.kind == FileDesc::Kind::kPipeWrite) ++d.pipe->writers;
-  }
-
-  for (const auto& rec : snap->pages) {
-    if (!space_.InstallPage(child->base + rec.offset, rec.data, rec.perms)
-             .ok()) {
-      return kEnomem;
-    }
-  }
-
-  // Register state: identical, except every pointer-holding reserved
-  // register is rebased by replacing its top 32 bits - exactly what the
-  // guards do on each access, which is why fork in a single address space
-  // works (Section 5.3).
-  child->cpu = RebaseCpu(snap->cpu, child->base);
-
-  // Handlers (and any live frame) are inherited rebased, consistent with
-  // the stashed checkpoint a restart rolls the child back to.
-  for (size_t s = 0; s < snap->sig_handlers.size(); ++s) {
-    const uint64_t h = snap->sig_handlers[s];
-    child->sig.handlers[s] = h == 0 ? 0 : child->base | h;
-  }
-  child->sig.in_handler = snap->sig_in_handler;
-  child->sig.cookie = snap->sig_cookie;
-  child->sig.frame_addr =
-      snap->sig_frame_addr == 0 ? 0 : child->base | snap->sig_frame_addr;
-  child->sig.delivered = snap->sig_delivered;
-  child->snapshot = std::move(snap);
+  auto child = Instantiate(std::move(snap), p);
+  if (!child) return kEnomem;
 
   machine_.timing().ChargeFlat(400 + 30 * p->mappings.size());
 
-  const int child_pid = child->pid;
+  const int child_pid = (*child)->pid;
   p->children.push_back(child_pid);
-  procs_[child_pid] = std::move(child);
   Enqueue(child_pid);
   return static_cast<uint64_t>(child_pid);
 }

@@ -92,14 +92,10 @@ struct Proc {
   uint64_t cpu_cycles = 0;        // cycles spent executing in the sandbox
   uint64_t insts_retired = 0;     // instructions retired by the sandbox
   uint64_t mmap_bytes = 0;        // live bytes from SysMmap (limit basis)
-  // Legacy restart image: retained so the ELF-reload restart path can be
-  // benchmarked against snapshot restore (set_restart_snapshot(pid,
-  // nullptr) forces it). Null for forked children.
-  std::shared_ptr<const elf::ElfImage> image;
-  // Post-instantiation checkpoint: captured at Load, at fork (so forked
-  // children are restartable, unlike the image path), and at
-  // SpawnFromSnapshot. The restart policy restores from this, touching
-  // only dirtied pages.
+  // Post-instantiation checkpoint: the snapshot the sandbox was installed
+  // from (built from the ELF at Load, captured at fork, or the spawn
+  // image). The restart policy restores from this, touching only dirtied
+  // pages. Released when the slot is freed.
   std::shared_ptr<const snapshot::Snapshot> snapshot;
 
   uint64_t brk_start = 0, brk = 0;   // heap bounds
@@ -261,9 +257,9 @@ class Runtime {
     return last_instantiation_;
   }
 
-  // Replaces (or clears) the checkpoint the restart policy restores from.
-  // Clearing forces the legacy ELF-reload restart path, which only works
-  // for procs with a retained image.
+  // Replaces (or clears) the checkpoint the restart policy and Recycle()
+  // restore from. A proc without one cannot be restarted: a fault under
+  // the restart policy then kills it.
   void set_restart_snapshot(int pid,
                             std::shared_ptr<const snapshot::Snapshot> snap) {
     if (Proc* p = proc(pid)) p->snapshot = std::move(snap);
@@ -396,11 +392,20 @@ class Runtime {
   Result<uint64_t> AllocSlot();
   void FreeSlot(Proc* p);
 
-  Status MapSlotCommon(Proc* p);  // call table + stack
-  // Maps an image's segments into p's slot and resets heap/mmap bounds
-  // and initial CPU state (shared by LoadImage and the restart policy).
-  Status MapImage(Proc* p, const elf::ElfImage& image);
-  void InitFds(Proc* p);
+  // Instantiation. Every new sandbox starts from a slot-relative
+  // snapshot. LoadSnapshot builds the one a fresh ELF load amounts to,
+  // after checking segment placement. Instantiate installs `snap` into a
+  // fresh slot (pages COW, then ApplySnapshot) and registers the proc
+  // without enqueueing it; a fork passes its parent, whose policy the
+  // child inherits and whose live descriptors it duplicates, while other
+  // sandboxes get the default policy and fds rehydrated from the records.
+  // ApplySnapshot copies mappings, heap/mmap cursors, rebased registers
+  // and signal state into p (pages and fds are the caller's).
+  Result<std::shared_ptr<const snapshot::Snapshot>> LoadSnapshot(
+      const elf::ElfImage& image) const;
+  Result<Proc*> Instantiate(std::shared_ptr<const snapshot::Snapshot> snap,
+                            const Proc* parent);
+  void ApplySnapshot(Proc* p, const snapshot::Snapshot& snap);
 
   // Snapshot plumbing. CaptureInto freezes p into *out (slot-relative).
   // RebaseCpu/RelativizeCpu convert the reserved pointer registers
@@ -471,6 +476,10 @@ class Runtime {
   verifier::VerifyStats verify_stats_;
   verifier::VerifyResult last_verify_ = verifier::VerifyResult::Ok(0);
   InstantiationStats last_instantiation_;
+  // Payloads every load snapshot shares: the runtime-call table and the
+  // all-zero page (bss, stack and untouched segment tails).
+  std::shared_ptr<emu::AddressSpace::PageData> call_table_page_;
+  std::shared_ptr<emu::AddressSpace::PageData> zero_page_;
   std::map<int, std::unique_ptr<Proc>> procs_;
   std::deque<int> ready_;
   int current_pid_ = 0;  // proc whose state is loaded into machine_

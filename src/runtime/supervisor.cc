@@ -154,7 +154,7 @@ bool Supervisor::DeliverSignal(Proc* p, const emu::CpuFault& f, int signo,
 }
 
 bool Supervisor::Restart(Proc* p) {
-  if (p->snapshot == nullptr && p->image == nullptr) return false;
+  if (p->snapshot == nullptr) return false;
   // A healthy run past the reset window clears the crash-loop record:
   // the budget and the exponential backoff both start over, so a
   // long-lived tenant that faults rarely is not treated like a sandbox
@@ -181,43 +181,12 @@ bool Supervisor::Restart(Proc* p) {
   }
   rt_->machine_.timing().ChargeFlat(backoff);
 
-  if (p->snapshot != nullptr) {
-    // Preferred path: roll back to the post-instantiation checkpoint.
-    // Only pages the crashed incarnation dirtied are re-installed, and
-    // the modeled restore cost scales with that count, not the image
-    // size. Works for forked children too (they stash a checkpoint at
-    // fork; the image path below cannot restart them).
-    if (!rt_->RestoreFromSnapshot(p->pid, *p->snapshot).ok()) return false;
-    rt_->machine_.timing().ChargeFlat(rt_->last_instantiation_.cycles);
-  } else {
-    // Legacy path (set_restart_snapshot(pid, nullptr) forces it): tear
-    // down the old incarnation — descriptors first (pipe endpoint counts
-    // must drop so peers see EOF/EPIPE), then every mapping in the slot —
-    // and remap the retained ELF image. The slot and pid are kept, which
-    // is the point of restart vs. reload.
-    for (uint64_t fd = 0; fd < p->fds.size(); ++fd) {
-      if (p->fds[fd].kind != FileDesc::Kind::kFree) rt_->SysClose(p, fd);
-    }
-    for (const auto& [off, range] : p->mappings) {
-      (void)rt_->space_.Unmap(p->base + off, range.first);
-    }
-    p->mappings.clear();
-    if (!rt_->MapSlotCommon(p).ok() || !rt_->MapImage(p, *p->image).ok()) {
-      // The image mapped before, so this is unreachable short of host
-      // exhaustion; degrade to kill.
-      return false;
-    }
-    rt_->InitFds(p);
-    // Remap service time, mirroring the mmap cost model: the restart is
-    // not free even with zero backoff.
-    uint64_t pages = 0;
-    for (const auto& [off, range] : p->mappings) pages += range.first / kPage;
-    rt_->machine_.timing().ChargeFlat(400 + 20 * pages);
-    // The reloaded image starts with no handlers and no live mmaps; the
-    // snapshot path restores both to their checkpoint values instead.
-    p->sig = SignalState{};
-    p->mmap_bytes = 0;
-  }
+  // Roll back to the post-instantiation checkpoint. Only pages the
+  // crashed incarnation dirtied are re-installed, and the modeled restore
+  // cost scales with that count, not the image size. Works for forked
+  // children too (they stash a checkpoint at fork).
+  if (!rt_->RestoreFromSnapshot(p->pid, *p->snapshot).ok()) return false;
+  rt_->machine_.timing().ChargeFlat(rt_->last_instantiation_.cycles);
   p->cpu_cycles = 0;
   p->insts_retired = 0;
   p->state = ProcState::kReady;

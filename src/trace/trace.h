@@ -51,7 +51,7 @@ enum class Counter : uint8_t {
   kForks,                // successful forks performed by this sandbox
   kSignalsDelivered,     // fault signals delivered to a sandbox handler
   kSigreturns,           // successful sigreturn completions
-  kRestarts,             // restart-policy image reloads
+  kRestarts,             // restart-policy snapshot restores
   kLimitRejections,      // syscalls rejected by a resource limit
   kChaosInjections,      // faults/errors injected by the chaos engine
   kSnapshotRestores,     // restore-from-snapshot operations on this sandbox

@@ -486,5 +486,46 @@ TEST_F(EmbedTest, OrdinaryProgramNeverReachesEmbedReady) {
   EXPECT_FALSE(sb.ok());
 }
 
+// Attaching a trace sink after code has run moves the chained backend to
+// its counting loop over blocks the untraced loop already threaded, and
+// detaching moves it back; each loop must re-thread them (this crashed
+// once). Every backend must then agree on results, cycles and counters.
+TEST(EmbedTraceSink, AttachAndDetachBetweenCallsOnEveryBackend) {
+  auto elf = test::BuildElf(MatrixModule());
+  ASSERT_TRUE(elf.ok()) << elf.error();
+  std::vector<std::vector<uint64_t>> runs;
+  for (emu::Dispatch d : {emu::Dispatch::kChained, emu::Dispatch::kBlock,
+                          emu::Dispatch::kStep}) {
+    runtime::RuntimeConfig cfg = TestConfig();
+    cfg.dispatch = d;
+    runtime::Runtime rt(cfg);
+    auto sb = Sandbox::Create(rt, {elf->data(), elf->size()});
+    ASSERT_TRUE(sb.ok()) << sb.error();
+    trace::TraceSink sink;
+    std::vector<uint64_t> got;
+    for (int k = 0; k < 3; ++k) {
+      if (k == 1) rt.set_trace_sink(&sink);
+      if (k == 2) rt.set_trace_sink(nullptr);
+      const uint64_t n = 10 * static_cast<uint64_t>(k);
+      auto r = (*sb)->Call<uint64_t(uint64_t, uint64_t, uint64_t)>(
+          "add3", n, n + 1, n + 2);
+      ASSERT_TRUE(r.ok()) << r.detail;
+      got.push_back(r.value);
+    }
+    got.push_back(rt.Cycles());
+    const trace::Metrics& m = sink.metrics((*sb)->pid());
+    got.push_back(m.Get(trace::Counter::kInstRetired));
+    got.push_back(m.Get(trace::Counter::kGuardsExecuted));
+    got.push_back(m.Get(trace::Counter::kEmbedCalls));
+    runs.push_back(std::move(got));
+  }
+  EXPECT_EQ(runs[0][0], 3u);
+  EXPECT_EQ(runs[0][1], 33u);
+  EXPECT_EQ(runs[0][2], 63u);
+  EXPECT_EQ(runs[0][6], 1u);  // only the traced call is counted
+  EXPECT_EQ(runs[1], runs[0]);
+  EXPECT_EQ(runs[2], runs[0]);
+}
+
 }  // namespace
 }  // namespace lfi::embed

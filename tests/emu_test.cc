@@ -98,24 +98,52 @@ TEST(AddressSpace, CopyOnWriteSharing) {
   AddressSpace a;
   ASSERT_TRUE(a.Map(0x4000, 0x4000, kPermRead | kPermWrite).ok());
   ASSERT_TRUE(a.Write(0x4000, 42, 8).ok());
-  AddressSpace b;
-  a.CloneInto(&b);
-  EXPECT_EQ(*b.Read(0x4000, 8), 42u);
-  // Writing in the child must not affect the parent.
-  ASSERT_TRUE(b.Write(0x4000, 99, 8).ok());
+  // Installing an exported payload at a second address shares it.
+  uint8_t perms = 0;
+  auto payload = a.ExportPage(0x4000, &perms);
+  ASSERT_TRUE(a.InstallPage(0x40000, std::move(payload), perms).ok());
+  EXPECT_EQ(*a.Read(0x40000, 8), 42u);
+  // Writing one copy must not affect the other.
+  ASSERT_TRUE(a.Write(0x40000, 99, 8).ok());
   EXPECT_EQ(*a.Read(0x4000, 8), 42u);
-  EXPECT_EQ(*b.Read(0x4000, 8), 99u);
+  EXPECT_EQ(*a.Read(0x40000, 8), 99u);
 }
 
-TEST(AddressSpace, ShareRangePlacesAliasedPages) {
-  AddressSpace a;
-  ASSERT_TRUE(a.Map(0x4000, 0x4000, kPermRead | kPermWrite).ok());
-  ASSERT_TRUE(a.Write(0x4000, 7, 8).ok());
-  ASSERT_TRUE(a.ShareRange(0x4000, 0x40000, 0x4000).ok());
-  EXPECT_EQ(*a.Read(0x40000, 8), 7u);
-  // COW: writing one copy leaves the other intact.
-  ASSERT_TRUE(a.Write(0x40000, 8, 8).ok());
-  EXPECT_EQ(*a.Read(0x4000, 8), 7u);
+TEST(AddressSpace, HostCopiesSpanPages) {
+  AddressSpace as;
+  ASSERT_TRUE(as.Map(0x4000, 3 * kPageSize, kPermRead).ok());
+  std::vector<uint8_t> in(2 * kPageSize + 100);
+  for (size_t k = 0; k < in.size(); ++k) in[k] = static_cast<uint8_t>(k * 7);
+  ASSERT_TRUE(as.HostWrite(0x4000 + 50, in).ok());
+  std::vector<uint8_t> out(in.size());
+  ASSERT_TRUE(as.HostRead(0x4000 + 50, out).ok());
+  EXPECT_EQ(out, in);
+  EXPECT_EQ(*as.Read(0x4000 + 50 + kPageSize, 1), in[kPageSize]);
+}
+
+// A host write that fails part-way used to leave the bytes it had already
+// copied in place without bumping the generation, so code written to an
+// exec page stayed invisible to the decode caches.
+TEST(AddressSpace, HostWriteAndReadAreAllOrNothing) {
+  AddressSpace as;
+  ASSERT_TRUE(as.Map(0x4000, kPageSize, kPermRead | kPermExec).ok());
+  const uint64_t gen = as.mutation_generation();
+  // Covers the rest of the exec page, then runs onto the unmapped next one.
+  const std::vector<uint8_t> in(kPageSize, 0xab);
+  EXPECT_FALSE(as.HostWrite(0x4000 + 8, in).ok());
+  EXPECT_EQ(as.mutation_generation(), gen);
+  std::vector<uint8_t> page(kPageSize, 0x11);
+  ASSERT_TRUE(as.HostRead(0x4000, page).ok());
+  EXPECT_EQ(page, std::vector<uint8_t>(kPageSize, 0));
+
+  std::vector<uint8_t> out(16, 0x5a);
+  EXPECT_FALSE(as.HostRead(0x8000 - 8, out).ok());
+  EXPECT_EQ(out, std::vector<uint8_t>(16, 0x5a));
+  EXPECT_FALSE(as.HostWrite(~uint64_t{0} - 7, {in.data(), 16}).ok());
+
+  // A write that lands on the exec page bumps the generation.
+  ASSERT_TRUE(as.HostWrite(0x4000, {in.data(), 16}).ok());
+  EXPECT_NE(as.mutation_generation(), gen);
 }
 
 TEST(AddressSpace, CheckEmptyAndWrappingRanges) {
@@ -135,9 +163,6 @@ TEST(AddressSpace, MapUnmapProtectRejectWrappingRanges) {
   EXPECT_FALSE(as.Map(top, 2 * kPageSize, kPermRead).ok());
   EXPECT_FALSE(as.Unmap(top, 2 * kPageSize).ok());
   EXPECT_FALSE(as.Protect(top, 2 * kPageSize, kPermRead).ok());
-  ASSERT_TRUE(as.Map(0x4000, kPageSize, kPermRead | kPermWrite).ok());
-  EXPECT_FALSE(as.ShareRange(0x4000, top, 2 * kPageSize).ok());
-  EXPECT_FALSE(as.ShareRange(top, 0x40000, 2 * kPageSize).ok());
 }
 
 TEST(AddressSpace, MapRejectsOverlapUnlessFixed) {

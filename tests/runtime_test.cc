@@ -593,6 +593,89 @@ TEST(Runtime, FastYieldSwitchesDirectly) {
   EXPECT_EQ(rt.proc(*pb)->exit_status, 22);
 }
 
+// ---- ELF segment placement ----
+//
+// Every placement rule refuses the image before a slot is taken, so a
+// rejected load leaves no slot and no page behind.
+
+elf::ElfImage ExitImage() {
+  auto bytes = test::BuildElf(std::string("mov x0, #0\n") + kExit);
+  EXPECT_TRUE(bytes.ok());
+  auto img = elf::Read(*bytes);
+  EXPECT_TRUE(img.ok());
+  EXPECT_EQ(img->segments.size(), 1u);
+  return *img;
+}
+
+void ExpectLoadRejected(const elf::ElfImage& img, const std::string& why) {
+  Runtime rt(TestConfig());
+  ASSERT_TRUE(rt.LoadImage(ExitImage()).ok());  // one live sandbox
+  const uint64_t slots = rt.slots_in_use();
+  const size_t pages = rt.space().MappedPages();
+  auto pid = rt.LoadImage(img);
+  ASSERT_FALSE(pid.ok());
+  EXPECT_NE(pid.error().find(why), std::string::npos) << pid.error();
+  EXPECT_EQ(rt.slots_in_use(), slots);
+  EXPECT_EQ(rt.space().MappedPages(), pages);
+}
+
+TEST(Runtime, LoadRejectsSegmentOutsideLoadableArea) {
+  elf::ElfImage low = ExitImage();
+  low.segments[0].vaddr = kPage;  // call table + leading guard
+  ExpectLoadRejected(low, "outside the loadable sandbox area");
+  elf::ElfImage high = ExitImage();
+  high.segments[0].exec = false;
+  high.segments[0].vaddr = kProgramEnd - kStackSize;  // the stack
+  ExpectLoadRejected(high, "outside the loadable sandbox area");
+}
+
+TEST(Runtime, LoadRejectsExecSegmentNearSlotEnd) {
+  elf::ElfImage img = ExitImage();
+  img.segments[0].vaddr = kCodeEnd - 4;
+  ExpectLoadRejected(img, "within 128MiB of the slot end");
+}
+
+TEST(Runtime, LoadRejectsWritableExecSegment) {
+  elf::ElfImage img = ExitImage();
+  img.segments[0].write = true;
+  ExpectLoadRejected(img, "W^X violation");
+}
+
+TEST(Runtime, LoadRejectsSegmentsSharingAPage) {
+  elf::ElfImage img = ExitImage();
+  elf::Segment data;
+  data.vaddr = img.segments[0].vaddr + img.segments[0].data.size();
+  data.data = {1, 2, 3};
+  data.memsz = 3;
+  data.write = true;
+  img.segments.push_back(data);
+  ExpectLoadRejected(img, "segments share a page");
+}
+
+// An exited sandbox keeps nothing of its image alive: the slot's pages
+// and the load checkpoint both let go of the payloads.
+TEST(Runtime, ExitReleasesLoadedPayloads) {
+  TestRun t(std::string("mov x0, #0\n") + kExit + R"(
+  .data
+  v:
+    .quad 7
+  )");
+  ASSERT_GE(t.pid, 0);
+  std::weak_ptr<emu::AddressSpace::PageData> data;
+  for (const auto& rec : t.P()->snapshot->pages) {
+    if (rec.perms == (emu::kPermRead | emu::kPermWrite) &&
+        rec.offset < kProgramEnd - kStackSize) {
+      data = rec.data;
+    }
+  }
+  ASSERT_FALSE(data.expired());
+  EXPECT_EQ(t.rt.RunUntilIdle(), 0);
+  EXPECT_EQ(t.P()->state, ProcState::kDead);
+  EXPECT_EQ(t.P()->snapshot, nullptr);
+  EXPECT_TRUE(data.expired());
+  EXPECT_EQ(t.rt.space().MappedPages(), 0u);
+}
+
 TEST(Runtime, ManySlotsAccounting) {
   // Load a batch of sandboxes and ensure slot accounting scales; the
   // design supports ~65k slots but tests stay modest.

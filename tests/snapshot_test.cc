@@ -436,6 +436,31 @@ TEST(Snapshot, SpawnedSandboxRunsIdenticallyToOriginal) {
   EXPECT_NE(p2->pid, t.pid);  // a genuinely new sandbox, not a rollback
 }
 
+// Load builds its checkpoint straight from the ELF; it must be the image
+// a capture of the freshly loaded sandbox yields, byte for byte.
+TEST(Snapshot, LoadCheckpointEqualsCaptureAfterLoad) {
+  Loaded t(kHelloProg);
+  ASSERT_GE(t.pid, 0);
+  auto captured = Capture(t.rt, t.pid);
+  ASSERT_NE(captured, nullptr);
+  ASSERT_NE(t.P()->snapshot, nullptr);
+  EXPECT_EQ(Serialize(*t.P()->snapshot), Serialize(*captured));
+}
+
+// A snapshot page outside the 4GiB slot would land in a neighbour's; the
+// spawn is refused before a slot or page is taken.
+TEST(Snapshot, SpawnRefusesPagesOutsideTheSlot) {
+  Loaded t(kHelloProg);
+  ASSERT_GE(t.pid, 0);
+  auto bad = std::make_shared<Snapshot>(*t.P()->snapshot);
+  bad->pages.back().offset = runtime::kSlotSize;
+  const uint64_t slots = t.rt.slots_in_use();
+  const size_t pages = t.rt.space().MappedPages();
+  EXPECT_FALSE(t.rt.SpawnFromSnapshot(bad).ok());
+  EXPECT_EQ(t.rt.slots_in_use(), slots);
+  EXPECT_EQ(t.rt.space().MappedPages(), pages);
+}
+
 TEST(Snapshot, SnapshotSurvivesDiskRoundTripAndSpawnsInFreshRuntime) {
   Loaded t(kHelloProg);
   ASSERT_GE(t.pid, 0);
