@@ -138,14 +138,15 @@ struct Outcome {
   std::string error;
 };
 
-// Runs a built executable to completion on the given core model. Pass a
-// TraceSink to decompose the run into per-sandbox counters (guards
-// executed, loads/stores, block-cache traffic, ...) — attaching one must
-// not change any simulated result, only host time.
+// Runs a built executable to completion on the given core model, under
+// the product's chained dispatch unless told otherwise. Pass a TraceSink
+// to decompose the run into per-sandbox counters (guards executed,
+// loads/stores, block-cache traffic, ...) — attaching one must not change
+// any simulated result, only host time.
 inline Outcome Run(const Built& built, const arch::CoreParams& core,
                    bool verify, bool check_loads = true,
                    bool nested_pagetables = false,
-                   emu::Dispatch dispatch = emu::Dispatch::kBlock,
+                   emu::Dispatch dispatch = emu::Dispatch::kChained,
                    trace::TraceSink* sink = nullptr) {
   Outcome o;
   if (!built.ok) {
@@ -156,9 +157,9 @@ inline Outcome Run(const Built& built, const arch::CoreParams& core,
   cfg.core = core;
   cfg.enforce_verification = verify;
   cfg.verify.check_loads = check_loads;
+  cfg.dispatch = dispatch;
   runtime::Runtime rt(cfg);
   rt.machine().timing().set_nested_pagetables(nested_pagetables);
-  rt.machine().set_dispatch(dispatch);
   if (sink != nullptr) rt.set_trace_sink(sink);
   auto pid = rt.Load({built.elf.data(), built.elf.size()});
   if (!pid.ok()) {

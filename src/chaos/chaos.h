@@ -17,8 +17,8 @@
 // (so an injection into pid 3 never shifts pid 4's stream), and victim
 // selection depends only on (seed, pid). Un-injected sandboxes therefore
 // retire exactly the instruction stream of a chaos-free run; only their
-// cycle timestamps move. The soak test and the chaos-soak CI job assert
-// this by byte-comparing trace files across runs.
+// cycle timestamps move. The soak test and the ctest `chaos-soak` entries
+// assert this by byte-comparing trace files across runs.
 //
 // Attach with Runtime::set_chaos (surfaced as lfi-run --chaos-seed /
 // --chaos-profile). The engine must outlive the runtime or be detached.

@@ -17,13 +17,10 @@
 // AddressSpace::mutation_generation(), which Map/Unmap/Protect/InstallPage
 // and any write landing on an executable page bump. A stamp mismatch at
 // block-entry drops every cached block, so executing stale code after a
-// remap is structurally impossible -- no caller cooperation needed.
-// FlushDecodeCache() therefore exists only for callers that mutate code
-// bytes through a channel AddressSpace cannot observe (there is none in
-// this repo; it is kept for API compatibility and tests). The one window
-// the generation cannot close is an instruction overwriting *its own*
-// basic block mid-flight; real hardware requires an ISB there, and the
-// runtime's W^X policy forbids it entirely.
+// remap is structurally impossible -- no caller cooperation needed. The
+// one window the generation cannot close is an instruction overwriting
+// *its own* basic block mid-flight; real hardware requires an ISB there,
+// and the runtime's W^X policy forbids it entirely.
 //
 // Backends. Run() switches on the Dispatch mode selected by set_dispatch().
 // kBlock and kStep are the reference interpreters (the switch in ExecInst);
@@ -179,12 +176,6 @@ class Machine {
   // including cycle accounting.
   void set_dispatch(Dispatch d) { dispatch_ = d; }
   Dispatch dispatch() const { return dispatch_; }
-
-  // Drops all cached decoded instructions immediately. NOT required after
-  // Map/Unmap/Protect or code writes -- the mutation generation already
-  // invalidates those lazily (see the file comment). Kept for callers
-  // that want an explicit, eager flush.
-  void FlushDecodeCache() { ClearCaches(); }
 
   // Reads a general-purpose register by Inst operand conventions
   // (zr reads 0; sp reads the stack pointer). Exposed for the runtime.

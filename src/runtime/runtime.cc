@@ -92,8 +92,8 @@ const Proc* Runtime::proc(int pid) const {
 
 size_t Runtime::live_procs() const {
   size_t n = 0;
-  for (const auto& [pid, p] : procs_) {
-    if (p->state != ProcState::kZombie && p->state != ProcState::kDead) ++n;
+  for (const auto& [pid, p] : live_) {
+    if (p->state != ProcState::kZombie) ++n;
   }
   return n;
 }
@@ -289,6 +289,7 @@ Result<Proc*> Runtime::Instantiate(
   }
   p->snapshot = std::move(snap);
   Proc* raw = p.get();
+  live_[raw->pid] = raw;
   procs_[raw->pid] = std::move(p);
   return raw;
 }
@@ -503,7 +504,7 @@ Status Runtime::Kill(int pid, const std::string& why) {
       return Status::Fail("kill: zombie awaiting reap");
     }
     FreeSlot(p);
-    p->state = ProcState::kDead;
+    MarkDead(p);
     return Status::Ok();
   }
   p->retain_on_exit = false;  // forced kills always tear down the slot
@@ -678,11 +679,11 @@ bool Runtime::TryUnblock(Proc* p) {
 Proc* Runtime::PickNext() {
   // Poll blocked processes (the runtime is single-threaded and
   // deterministic, so completion conditions are re-checked here).
-  for (auto& [pid, p] : procs_) {
+  for (auto& [pid, p] : live_) {
     if (p->state == ProcState::kBlockedRead ||
         p->state == ProcState::kBlockedWrite ||
         p->state == ProcState::kBlockedWait) {
-      if (TryUnblock(p.get())) Enqueue(pid);
+      if (TryUnblock(p)) Enqueue(pid);
     }
   }
   while (!ready_.empty()) {
@@ -731,28 +732,7 @@ int Runtime::RunUntilIdle(uint64_t max_total_insts) {
     if (p == nullptr) break;
     SwitchTo(p, fast_switch);
     fast_switch = false;
-    trace::ExecCounters ctr_before;
-    uint64_t slice_start = 0;
-    if (sink_ != nullptr) {
-      ctr_before = exec_counters_;
-      slice_start = Cycles();
-    }
-    uint64_t slice_insts = cfg_.timeslice_insts;
-    if (chaos_ != nullptr) {
-      chaos_->BeginSlice(p->pid);
-      slice_insts = chaos_->PerturbTimeslice(slice_insts);
-    }
-    const uint64_t cyc0 = Cycles();
-    const uint64_t ret0 = machine_.timing().Retired();
-    const auto stop = machine_.Run(slice_insts);
-    p->cpu = machine_.state();
-    // Per-proc execution accounting (always on; basis for the cpu-quota
-    // watchdog and the containment tests). Runtime-call service time is
-    // charged to the shared clock, not the sandbox.
-    p->cpu_cycles += Cycles() - cyc0;
-    p->insts_retired += machine_.timing().Retired() - ret0;
-    if (sink_ != nullptr) AttributeSlice(p, ctr_before, slice_start, stop);
-    switch (stop) {
+    switch (RunSlice(p, cfg_.timeslice_insts)) {
       case emu::StopReason::kRuntimeEntry: {
         const uint64_t entry = p->cpu.pc;
         HandleRuntimeEntry(p);
@@ -801,6 +781,26 @@ int Runtime::RunUntilIdle(uint64_t max_total_insts) {
     }
   }
   return static_cast<int>(live_procs());
+}
+
+emu::StopReason Runtime::RunSlice(Proc* p, uint64_t insts) {
+  if (chaos_ != nullptr) {
+    chaos_->BeginSlice(p->pid);
+    insts = chaos_->PerturbTimeslice(insts);
+  }
+  trace::ExecCounters ctr_before;
+  if (sink_ != nullptr) ctr_before = exec_counters_;
+  const uint64_t cyc0 = Cycles();
+  const uint64_t ret0 = machine_.timing().Retired();
+  const auto stop = machine_.Run(insts);
+  p->cpu = machine_.state();
+  // Per-proc execution accounting (always on; basis for the cpu-quota
+  // watchdog and the containment tests). Runtime-call service time is
+  // charged to the shared clock, not the sandbox.
+  p->cpu_cycles += Cycles() - cyc0;
+  p->insts_retired += machine_.timing().Retired() - ret0;
+  if (sink_ != nullptr) AttributeSlice(p, ctr_before, cyc0, stop);
+  return stop;
 }
 
 void Runtime::AttributeSlice(Proc* p, const trace::ExecCounters& before,
@@ -944,25 +944,7 @@ Runtime::EmbedStop Runtime::DriveEmbedded(Proc* p, uint64_t expected_cookie,
       out.detail = p->fault_detail;
       return out;
     }
-    uint64_t slice = std::min(cfg_.timeslice_insts, fuel - used);
-    if (chaos_ != nullptr) {
-      chaos_->BeginSlice(p->pid);
-      slice = chaos_->PerturbTimeslice(slice);
-    }
-    trace::ExecCounters ctr_before;
-    uint64_t slice_start = 0;
-    if (sink_ != nullptr) {
-      ctr_before = exec_counters_;
-      slice_start = Cycles();
-    }
-    const uint64_t cyc0 = Cycles();
-    const uint64_t ret0 = machine_.timing().Retired();
-    const auto stop = machine_.Run(slice);
-    p->cpu = machine_.state();
-    p->cpu_cycles += Cycles() - cyc0;
-    p->insts_retired += machine_.timing().Retired() - ret0;
-    if (sink_ != nullptr) AttributeSlice(p, ctr_before, slice_start, stop);
-    switch (stop) {
+    switch (RunSlice(p, std::min(cfg_.timeslice_insts, fuel - used))) {
       case emu::StopReason::kStepLimit:
         // No preemption here: the embedded call owns the machine until it
         // completes or burns its fuel.
@@ -1278,7 +1260,7 @@ void Runtime::HandleRuntimeEntry(Proc* p) {
 
 void Runtime::ReapChild(Proc* parent, Proc* child) {
   FreeSlot(child);
-  child->state = ProcState::kDead;
+  MarkDead(child);
   (void)parent;
 }
 
@@ -1302,7 +1284,7 @@ void Runtime::DoExit(Proc* p, int status) {
   Proc* parent = proc(p->ppid);
   if (parent == nullptr && !p->retain_on_exit) {
     FreeSlot(p);
-    p->state = ProcState::kDead;
+    MarkDead(p);
   } else {
     // Zombie: reapable by the parent, or (retain_on_exit) held with its
     // slot mapped so the serving layer can Recycle() it.

@@ -429,6 +429,11 @@ class Runtime {
   EmbedStop DriveEmbedded(Proc* p, uint64_t expected_cookie, uint64_t fuel,
                           bool init);
 
+  // Runs p (already installed on the machine) for up to `insts`
+  // instructions, perturbed by chaos, then copies its cpu state back and
+  // charges the slice to it: cpu accounting, plus trace attribution when
+  // a sink is attached.
+  emu::StopReason RunSlice(Proc* p, uint64_t insts);
   // Adds the machine-counter deltas of the timeslice that just ran to
   // p's metrics and emits its sched-slice event. Only called with sink_
   // attached.
@@ -440,6 +445,11 @@ class Runtime {
   void DoExit(Proc* p, int status);
   void KillProc(Proc* p, const std::string& why, int signo = kSigKill);
   void ReapChild(Proc* parent, Proc* child);
+  // The one transition to kDead: the proc leaves the scheduler's walk.
+  void MarkDead(Proc* p) {
+    p->state = ProcState::kDead;
+    live_.erase(p->pid);
+  }
   // Records a graceful limit rejection (counter + event).
   void NoteLimit(Proc* p, LimitKind kind, uint64_t observed);
   // True when `fd` may not be allocated under p's fd-table cap.
@@ -480,7 +490,11 @@ class Runtime {
   // all-zero page (bss, stack and untouched segment tails).
   std::shared_ptr<emu::AddressSpace::PageData> call_table_page_;
   std::shared_ptr<emu::AddressSpace::PageData> zero_page_;
+  // Every proc ever created: dead ones stay so their exit state and
+  // output remain readable through proc().
   std::map<int, std::unique_ptr<Proc>> procs_;
+  // The procs not yet dead, in pid order: what the scheduler polls.
+  std::map<int, Proc*> live_;
   std::deque<int> ready_;
   int current_pid_ = 0;  // proc whose state is loaded into machine_
   int next_pid_ = 1;

@@ -228,6 +228,13 @@ struct LsCase {
   uint8_t shift;
 };
 
+void PrintTo(const LsCase& c, std::ostream* os) {
+  static const char* const kModes[] = {"imm",     "pre-index", "post-index",
+                                       "reg-lsl", "reg-uxtw",  "reg-sxtw"};
+  *os << kModes[static_cast<int>(c.mode)] << " #" << c.imm << " shift "
+      << static_cast<int>(c.shift);
+}
+
 class LoadStoreTest : public ::testing::TestWithParam<LsCase> {};
 
 TEST_P(LoadStoreTest, IntRoundTrip) {

@@ -16,6 +16,10 @@
 #include "workloads/workloads.h"
 
 namespace lfi {
+namespace workloads {
+void PrintTo(const WorkloadInfo& w, std::ostream* os) { *os << w.name; }
+}  // namespace workloads
+
 namespace {
 
 class CorpusTest : public ::testing::TestWithParam<workloads::WorkloadInfo> {

@@ -63,6 +63,8 @@ struct Table3Case {
   const char* expected;  // exact rewritten text
 };
 
+void PrintTo(const Table3Case& c, std::ostream* os) { *os << c.input; }
+
 class Table3Test : public ::testing::TestWithParam<Table3Case> {};
 
 TEST_P(Table3Test, MatchesPaper) {
@@ -354,6 +356,11 @@ struct PropCase {
   OptLevel level;
   bool loads;
 };
+
+void PrintTo(const PropCase& p, std::ostream* os) {
+  *os << "seed " << p.seed << " O" << static_cast<int>(p.level)
+      << (p.loads ? " loads" : " stores-only");
+}
 
 class RewriteVerifyProperty : public ::testing::TestWithParam<PropCase> {};
 

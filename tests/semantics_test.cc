@@ -96,6 +96,8 @@ struct ExecCase {
   uint64_t expected;
 };
 
+void PrintTo(const ExecCase& c, std::ostream* os) { *os << c.name; }
+
 class ExecTest : public ::testing::TestWithParam<ExecCase> {};
 
 TEST_P(ExecTest, ComputesExpectedValue) {
@@ -238,6 +240,11 @@ struct BoundCase {
   int64_t imm;       // offset
   bool accept;
 };
+
+void PrintTo(const BoundCase& c, std::ostream* os) {
+  *os << c.size << "-byte access at #" << c.imm
+      << (c.accept ? " accepted" : " rejected");
+}
 
 class GuardBoundary : public ::testing::TestWithParam<BoundCase> {};
 

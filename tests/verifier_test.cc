@@ -70,6 +70,8 @@ struct RejectCase {
   FailKind kind;
 };
 
+void PrintTo(const RejectCase& c, std::ostream* os) { *os << c.name; }
+
 class RejectTest : public ::testing::TestWithParam<RejectCase> {};
 
 TEST_P(RejectTest, HostilePatternRejected) {

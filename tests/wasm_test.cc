@@ -11,6 +11,9 @@
 #include "workloads/workloads.h"
 
 namespace lfi::wasm {
+
+void PrintTo(Engine e, std::ostream* os) { *os << EngineName(e); }
+
 namespace {
 
 // Builds a wasm-instrumented ELF (instrument, expand rtcalls, assemble).

@@ -14,6 +14,9 @@
 #include "workloads/workloads.h"
 
 namespace lfi::workloads {
+
+void PrintTo(const WorkloadInfo& w, std::ostream* os) { *os << w.name; }
+
 namespace {
 
 constexpr uint64_t kScale = 300000;
