@@ -1,5 +1,7 @@
 #include "asmtext/assemble.h"
 
+#include <cstring>
+
 #include "arch/encode.h"
 #include "asmtext/printer.h"
 
@@ -35,9 +37,10 @@ uint64_t DirectiveSize(const Directive& d, uint64_t addr) {
   return 0;
 }
 
-void AppendLE(std::vector<uint8_t>* out, uint64_t v, unsigned bytes) {
+// Stores the low `bytes` bytes of `v` at `p`, little-endian.
+void PutLE(uint8_t* p, uint64_t v, unsigned bytes) {
   for (unsigned k = 0; k < bytes; ++k) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * k)));
+    p[k] = static_cast<uint8_t>(v >> (8 * k));
   }
 }
 
@@ -110,7 +113,12 @@ Result<Image> Assemble(const AsmFile& file, const LayoutSpec& spec) {
     return it->second;
   };
 
-  // Pass 2: emit bytes.
+  // Pass 2: emit bytes. Each section is sized once from pass 1 and
+  // zero-filled by that one resize, so .zero and .balign padding are
+  // already in place and every other statement stores at its offset.
+  img.text.resize(sizes[int(Section::kText)]);
+  img.rodata.resize(sizes[int(Section::kRodata)]);
+  img.data.resize(sizes[int(Section::kData)]);
   cur = Section::kText;
   uint64_t offsets[4] = {0, 0, 0, 0};
   std::vector<uint8_t>* streams[4] = {&img.text, &img.rodata, &img.data,
@@ -132,10 +140,8 @@ Result<Image> Assemble(const AsmFile& file, const LayoutSpec& spec) {
           off += n;
           break;
         }
+        uint8_t* at = out->data() + off;
         switch (d.kind) {
-          case Directive::Kind::kBalign:
-            for (uint64_t k = 0; k < n; ++k) out->push_back(0);
-            break;
           case Directive::Kind::kByte:
           case Directive::Kind::kWord:
           case Directive::Kind::kQuad: {
@@ -150,18 +156,14 @@ Result<Image> Assemble(const AsmFile& file, const LayoutSpec& spec) {
                 if (!addr) return Error{addr.error()};
                 v = *addr;
               }
-              AppendLE(out, v, bytes);
+              PutLE(at + k * bytes, v, bytes);
             }
             break;
           }
           case Directive::Kind::kAsciz:
-            for (char c : d.text) out->push_back(static_cast<uint8_t>(c));
-            out->push_back(0);
+            std::memcpy(at, d.text.data(), d.text.size());  // NUL already 0
             break;
-          case Directive::Kind::kZero:
-            for (uint64_t k = 0; k < n; ++k) out->push_back(0);
-            break;
-          default:
+          default:  // .zero / .balign: already zero
             break;
         }
         off += n;
@@ -193,7 +195,7 @@ Result<Image> Assemble(const AsmFile& file, const LayoutSpec& spec) {
           return Error{"assemble: line " + std::to_string(s.line) + " `" +
                        PrintStmt(s) + "`: " + word.error()};
         }
-        AppendLE(out, *word, 4);
+        PutLE(out->data() + off, *word, 4);
         off += 4;
         break;
       }

@@ -1,8 +1,7 @@
 #include "asmtext/parser.h"
 
-#include <cctype>
-#include <cstdlib>
-#include <map>
+#include <algorithm>
+#include <array>
 #include <optional>
 
 namespace lfi::asmtext {
@@ -21,6 +20,10 @@ using arch::VReg;
 using arch::Width;
 
 // ----- Operand-level token model -----
+//
+// A line is classified in place: every name, symbol and number below is a
+// string_view into the source line, case is folded character by character,
+// and a symbol becomes a std::string only when it lands in an AsmStmt.
 
 // A parsed operand, classified.
 struct Operand {
@@ -47,57 +50,135 @@ struct Operand {
   int64_t off_imm = 0;
   Reg off_reg;
   Width off_width = Width::kX;
-  std::string off_sym;
   enum class ExtKind { kNone, kShift, kExtend } ext_kind = ExtKind::kNone;
   bool writeback = false;
   // Shift/extend payload.
   Shift shift = Shift::kLsl;
   Extend ext = Extend::kUxtx;
   std::optional<int64_t> amount;
-  // Symbol payload.
-  std::string sym;
+  // Symbol payload (kLabel / kLo12), as written.
+  std::string_view sym;
   Cond cond = Cond::kAl;
 };
 
+// The most operands an instruction line may carry.
+constexpr size_t kMaxOperands = 8;
+
+// A line's operands, stored in place. One spare slot in front lets the
+// cmp/cmn/tst aliases prepend their zero register without copying the
+// line.
+class OperandList {
+ public:
+  size_t size() const { return n_; }
+  bool empty() const { return n_ == 0; }
+  const Operand& operator[](size_t k) const { return slots_[first_ + k]; }
+  void push_back(const Operand& op) { slots_[first_ + n_++] = op; }
+  void push_front(const Operand& op) {  // at most once per line
+    slots_[--first_] = op;
+    ++n_;
+  }
+
+ private:
+  std::array<Operand, kMaxOperands + 1> slots_;
+  size_t first_ = 1;
+  size_t n_ = 0;
+};
+
 struct ParsedLine {
-  std::string mnemonic;
-  std::vector<Operand> ops;
+  std::string_view mnemonic;  // as written
+  OperandList ops;
   // Post-index immediate appearing after a memory operand: `[x0], #8`.
   std::optional<int64_t> post_imm;
 };
 
+// ASCII character classes: the "C" locale's, without a library call per
+// character.
+char LowerChar(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+bool IsXDigit(char c) {
+  return IsDigit(c) || (LowerChar(c) >= 'a' && LowerChar(c) <= 'f');
+}
 bool IsIdentChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '.' ||
-         c == '$';
+  return IsDigit(c) || (LowerChar(c) >= 'a' && LowerChar(c) <= 'z') ||
+         c == '_' || c == '.' || c == '$';
+}
+
+// True if `s` equals the lower-case `lower`, ignoring the case of `s`.
+bool EqualsLower(std::string_view s, std::string_view lower) {
+  if (s.size() != lower.size()) return false;
+  for (size_t k = 0; k < s.size(); ++k) {
+    if (LowerChar(s[k]) != lower[k]) return false;
+  }
+  return true;
+}
+
+// Lower-cases `s` into `buf`; empty if it does not fit.
+template <size_t N>
+std::string_view LowerInto(std::string_view s, std::array<char, N>* buf) {
+  if (s.size() > N) return {};
+  for (size_t k = 0; k < s.size(); ++k) (*buf)[k] = LowerChar(s[k]);
+  return {buf->data(), s.size()};
+}
+
+// Off the per-operand path: diagnostics and `.section` arguments.
+std::string Lower(std::string_view s) {
+  std::string out(s);
+  for (char& c : out) c = LowerChar(c);
+  return out;
 }
 
 std::string_view Trim(std::string_view s) {
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) {
+  while (!s.empty() && IsSpace(s.front())) {
     s.remove_prefix(1);
   }
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back()))) {
+  while (!s.empty() && IsSpace(s.back())) {
     s.remove_suffix(1);
   }
   return s;
 }
 
-std::string Lower(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::tolower(c));
-  return out;
+bool AllDigits(std::string_view s) {
+  for (char c : s) {
+    if (!IsDigit(c)) return false;
+  }
+  return true;
 }
 
+// The value std::atoi gives for `s`: leading blanks, an optional sign,
+// then the longest run of digits. Values past `cap` saturate to cap + 1,
+// so callers range-check the result as before.
+int64_t AtoiPrefix(std::string_view s, int64_t cap) {
+  size_t k = 0;
+  while (k < s.size() && IsSpace(s[k])) ++k;
+  bool neg = false;
+  if (k < s.size() && (s[k] == '-' || s[k] == '+')) neg = s[k++] == '-';
+  int64_t v = 0;
+  for (; k < s.size() && IsDigit(s[k]); ++k) {
+    v = std::min(v * 10 + (s[k] - '0'), cap + 1);
+  }
+  return neg ? -v : v;
+}
+
+struct CondName {
+  std::string_view name;
+  Cond cond;
+};
+constexpr CondName kConds[] = {
+    {"eq", Cond::kEq}, {"ne", Cond::kNe}, {"hs", Cond::kHs},
+    {"cs", Cond::kHs}, {"lo", Cond::kLo}, {"cc", Cond::kLo},
+    {"mi", Cond::kMi}, {"pl", Cond::kPl}, {"vs", Cond::kVs},
+    {"vc", Cond::kVc}, {"hi", Cond::kHi}, {"ls", Cond::kLs},
+    {"ge", Cond::kGe}, {"lt", Cond::kLt}, {"gt", Cond::kGt},
+    {"le", Cond::kLe}, {"al", Cond::kAl}};
+
 std::optional<Cond> ParseCond(std::string_view s) {
-  static const std::map<std::string, Cond, std::less<>> kMap = {
-      {"eq", Cond::kEq}, {"ne", Cond::kNe}, {"hs", Cond::kHs},
-      {"cs", Cond::kHs}, {"lo", Cond::kLo}, {"cc", Cond::kLo},
-      {"mi", Cond::kMi}, {"pl", Cond::kPl}, {"vs", Cond::kVs},
-      {"vc", Cond::kVc}, {"hi", Cond::kHi}, {"ls", Cond::kLs},
-      {"ge", Cond::kGe}, {"lt", Cond::kLt}, {"gt", Cond::kGt},
-      {"le", Cond::kLe}, {"al", Cond::kAl}};
-  auto it = kMap.find(Lower(s));
-  if (it == kMap.end()) return std::nullopt;
-  return it->second;
+  for (const CondName& c : kConds) {
+    if (EqualsLower(s, c.name)) return c.cond;
+  }
+  return std::nullopt;
 }
 
 Cond Invert(Cond c) {
@@ -106,40 +187,39 @@ Cond Invert(Cond c) {
 
 // Parses a register name. Returns nullopt if `s` is not a register.
 std::optional<std::pair<Reg, Width>> ParseGpr(std::string_view s) {
-  const std::string l = Lower(s);
-  if (l == "sp") return {{Reg::Sp(), Width::kX}};
-  if (l == "wsp") return {{Reg::Sp(), Width::kW}};
-  if (l == "xzr") return {{Reg::Zr(), Width::kX}};
-  if (l == "wzr") return {{Reg::Zr(), Width::kW}};
-  if (l.size() < 2 || (l[0] != 'x' && l[0] != 'w')) return std::nullopt;
-  for (size_t k = 1; k < l.size(); ++k) {
-    if (!std::isdigit(static_cast<unsigned char>(l[k]))) return std::nullopt;
-  }
-  const int n = std::atoi(l.c_str() + 1);
+  if (EqualsLower(s, "sp")) return {{Reg::Sp(), Width::kX}};
+  if (EqualsLower(s, "wsp")) return {{Reg::Sp(), Width::kW}};
+  if (EqualsLower(s, "xzr")) return {{Reg::Zr(), Width::kX}};
+  if (EqualsLower(s, "wzr")) return {{Reg::Zr(), Width::kW}};
+  if (s.size() < 2) return std::nullopt;
+  const char c = LowerChar(s[0]);
+  if ((c != 'x' && c != 'w') || !AllDigits(s.substr(1))) return std::nullopt;
+  const int64_t n = AtoiPrefix(s.substr(1), 30);
   if (n < 0 || n > 30) return std::nullopt;
-  return {{Reg::X(static_cast<uint8_t>(n)), l[0] == 'x' ? Width::kX
-                                                        : Width::kW}};
+  return {{Reg::X(static_cast<uint8_t>(n)), c == 'x' ? Width::kX
+                                                     : Width::kW}};
 }
 
 std::optional<std::pair<VReg, FpSize>> ParseVReg(std::string_view s) {
-  const std::string l = Lower(s);
-  if (l.size() < 2) return std::nullopt;
-  const char c = l[0];
+  if (s.size() < 2) return std::nullopt;
+  const char c = LowerChar(s[0]);
   if (c == 'v') {
-    const auto dot = l.find('.');
-    if (dot == std::string::npos) return std::nullopt;
-    const int n = std::atoi(l.substr(1, dot - 1).c_str());
+    const auto dot = s.find('.');
+    if (dot == std::string_view::npos) return std::nullopt;
+    const int64_t n = AtoiPrefix(s.substr(1, dot - 1), 31);
     if (n < 0 || n > 31) return std::nullopt;
-    const std::string arr = l.substr(dot + 1);
-    if (arr == "4s") return {{VReg::V(static_cast<uint8_t>(n)), FpSize::kV4S}};
-    if (arr == "2d") return {{VReg::V(static_cast<uint8_t>(n)), FpSize::kV2D}};
+    const std::string_view arr = s.substr(dot + 1);
+    if (EqualsLower(arr, "4s")) {
+      return {{VReg::V(static_cast<uint8_t>(n)), FpSize::kV4S}};
+    }
+    if (EqualsLower(arr, "2d")) {
+      return {{VReg::V(static_cast<uint8_t>(n)), FpSize::kV2D}};
+    }
     return std::nullopt;
   }
   if (c != 's' && c != 'd' && c != 'q') return std::nullopt;
-  for (size_t k = 1; k < l.size(); ++k) {
-    if (!std::isdigit(static_cast<unsigned char>(l[k]))) return std::nullopt;
-  }
-  const int n = std::atoi(l.c_str() + 1);
+  if (!AllDigits(s.substr(1))) return std::nullopt;
+  const int64_t n = AtoiPrefix(s.substr(1), 31);
   if (n < 0 || n > 31) return std::nullopt;
   const FpSize fs =
       c == 's' ? FpSize::kS : (c == 'd' ? FpSize::kD : FpSize::kQ);
@@ -161,15 +241,13 @@ std::optional<int64_t> ParseNumber(std::string_view s) {
   uint64_t v = 0;
   if (s.size() > 2 && s[0] == '0' && (s[1] == 'x' || s[1] == 'X')) {
     for (char c : s.substr(2)) {
-      if (!std::isxdigit(static_cast<unsigned char>(c))) return std::nullopt;
-      v = v * 16 + static_cast<uint64_t>(
-                       std::isdigit(static_cast<unsigned char>(c))
-                           ? c - '0'
-                           : std::tolower(c) - 'a' + 10);
+      if (!IsXDigit(c)) return std::nullopt;
+      v = v * 16 + static_cast<uint64_t>(IsDigit(c) ? c - '0'
+                                                    : LowerChar(c) - 'a' + 10);
     }
   } else {
     for (char c : s) {
-      if (!std::isdigit(static_cast<unsigned char>(c))) return std::nullopt;
+      if (!IsDigit(c)) return std::nullopt;
       v = v * 10 + static_cast<uint64_t>(c - '0');
     }
   }
@@ -177,43 +255,61 @@ std::optional<int64_t> ParseNumber(std::string_view s) {
 }
 
 std::optional<Shift> ParseShiftName(std::string_view s) {
-  const std::string l = Lower(s);
-  if (l == "lsl") return Shift::kLsl;
-  if (l == "lsr") return Shift::kLsr;
-  if (l == "asr") return Shift::kAsr;
-  if (l == "ror") return Shift::kRor;
+  if (EqualsLower(s, "lsl")) return Shift::kLsl;
+  if (EqualsLower(s, "lsr")) return Shift::kLsr;
+  if (EqualsLower(s, "asr")) return Shift::kAsr;
+  if (EqualsLower(s, "ror")) return Shift::kRor;
   return std::nullopt;
 }
 
 std::optional<Extend> ParseExtendName(std::string_view s) {
-  const std::string l = Lower(s);
-  if (l == "uxtb") return Extend::kUxtb;
-  if (l == "uxth") return Extend::kUxth;
-  if (l == "uxtw") return Extend::kUxtw;
-  if (l == "uxtx") return Extend::kUxtx;
-  if (l == "sxtb") return Extend::kSxtb;
-  if (l == "sxth") return Extend::kSxth;
-  if (l == "sxtw") return Extend::kSxtw;
-  if (l == "sxtx") return Extend::kSxtx;
+  if (s.size() != 4) return std::nullopt;
+  constexpr std::pair<std::string_view, Extend> kExtends[] = {
+      {"uxtb", Extend::kUxtb}, {"uxth", Extend::kUxth},
+      {"uxtw", Extend::kUxtw}, {"uxtx", Extend::kUxtx},
+      {"sxtb", Extend::kSxtb}, {"sxth", Extend::kSxth},
+      {"sxtw", Extend::kSxtw}, {"sxtx", Extend::kSxtx}};
+  for (const auto& [name, ext] : kExtends) {
+    if (EqualsLower(s, name)) return ext;
+  }
   return std::nullopt;
 }
 
-// Splits `s` on top-level commas (commas inside [...] don't split).
-std::vector<std::string_view> SplitOperands(std::string_view s) {
-  std::vector<std::string_view> out;
+// Calls `f` on each of `s`'s top-level comma-separated tokens (commas
+// inside [...] don't split), trimmed; an empty last token is dropped.
+// Stops, returning false, as soon as `f` returns false.
+template <typename F>
+bool ForEachOperand(std::string_view s, F&& f) {
   int depth = 0;
   size_t start = 0;
   for (size_t k = 0; k < s.size(); ++k) {
     if (s[k] == '[') ++depth;
     else if (s[k] == ']') --depth;
     else if (s[k] == ',' && depth == 0) {
-      out.push_back(Trim(s.substr(start, k - start)));
+      if (!f(Trim(s.substr(start, k - start)))) return false;
       start = k + 1;
     }
   }
   const auto last = Trim(s.substr(start));
-  if (!last.empty()) out.push_back(last);
-  return out;
+  return last.empty() || f(last);
+}
+
+// ForEachOperand into a fixed array; returns the token count, or N + 1
+// when there are more than N tokens.
+template <size_t N>
+size_t SplitOperands(std::string_view s, std::array<std::string_view, N>* out) {
+  size_t n = 0;
+  const bool fits = ForEachOperand(s, [&](std::string_view tok) {
+    if (n == N) return false;
+    (*out)[n++] = tok;
+    return true;
+  });
+  return fits ? n : N + 1;
+}
+
+bool StartsImmediate(std::string_view tok) {
+  return !tok.empty() &&
+         (tok.front() == '#' || tok.front() == '-' || IsDigit(tok.front()));
 }
 
 // Parses a non-memory operand token.
@@ -233,8 +329,7 @@ Result<Operand> ParseSimpleOperand(std::string_view tok) {
     op.fsize = v->second;
     return op;
   }
-  if (tok.front() == '#' || std::isdigit(static_cast<unsigned char>(tok[0])) ||
-      tok.front() == '-') {
+  if (StartsImmediate(tok)) {
     if (auto n = ParseNumber(tok)) {
       op.kind = Operand::Kind::kImm;
       op.imm = *n;
@@ -244,7 +339,7 @@ Result<Operand> ParseSimpleOperand(std::string_view tok) {
   }
   if (tok.substr(0, 6) == ":lo12:") {
     op.kind = Operand::Kind::kLo12;
-    op.sym = std::string(tok.substr(6));
+    op.sym = tok.substr(6);
     return op;
   }
   // shift/extend with optional amount: "lsl #3", "uxtw", "sxtw #2"
@@ -277,7 +372,7 @@ Result<Operand> ParseSimpleOperand(std::string_view tok) {
   // Condition code or label: context decides; report as label and let the
   // mnemonic handler reinterpret when it expects a condition.
   op.kind = Operand::Kind::kLabel;
-  op.sym = std::string(tok);
+  op.sym = tok;
   return op;
 }
 
@@ -293,9 +388,10 @@ Result<Operand> ParseMemOperand(std::string_view tok) {
   if (tok.size() < 2 || tok.front() != '[' || tok.back() != ']') {
     return Error{"bad memory operand: " + std::string(tok)};
   }
-  const auto inner = Trim(tok.substr(1, tok.size() - 2));
-  auto parts = SplitOperands(inner);
-  if (parts.empty() || parts.size() > 3) {
+  std::array<std::string_view, 3> parts;
+  const size_t nparts = SplitOperands(Trim(tok.substr(1, tok.size() - 2)),
+                                      &parts);
+  if (nparts == 0 || nparts > 3) {
     return Error{"bad memory operand arity"};
   }
   auto base = ParseGpr(parts[0]);
@@ -303,7 +399,7 @@ Result<Operand> ParseMemOperand(std::string_view tok) {
     return Error{"bad base register: " + std::string(parts[0])};
   }
   op.mem_base = base->first;
-  if (parts.size() >= 2) {
+  if (nparts >= 2) {
     auto sub = ParseSimpleOperand(parts[1]);
     if (!sub) return Error{sub.error()};
     switch (sub->kind) {
@@ -318,13 +414,12 @@ Result<Operand> ParseMemOperand(std::string_view tok) {
         break;
       case Operand::Kind::kLo12:
         op.off_kind = Operand::OffKind::kLo12;
-        op.off_sym = sub->sym;
         break;
       default:
         return Error{"bad memory offset"};
     }
   }
-  if (parts.size() == 3) {
+  if (nparts == 3) {
     auto sub = ParseSimpleOperand(parts[2]);
     if (!sub) return Error{sub.error()};
     if (sub->kind == Operand::Kind::kShift) {
@@ -342,40 +437,191 @@ Result<Operand> ParseMemOperand(std::string_view tok) {
   return op;
 }
 
-Result<ParsedLine> Tokenize(std::string_view line) {
-  ParsedLine out;
+Status Tokenize(std::string_view line, ParsedLine* out) {
   line = Trim(line);
   const auto sp = line.find_first_of(" \t");
-  out.mnemonic = Lower(sp == std::string_view::npos ? line
-                                                    : line.substr(0, sp));
-  if (sp == std::string_view::npos) return out;
-  auto toks = SplitOperands(Trim(line.substr(sp)));
-  for (size_t k = 0; k < toks.size(); ++k) {
+  out->mnemonic = sp == std::string_view::npos ? line : line.substr(0, sp);
+  if (sp == std::string_view::npos) return Status::Ok();
+  std::array<std::string_view, kMaxOperands> toks;
+  const size_t ntoks = SplitOperands(Trim(line.substr(sp)), &toks);
+  if (ntoks > kMaxOperands) return Status::Fail("too many operands");
+  for (size_t k = 0; k < ntoks; ++k) {
     if (!toks[k].empty() && toks[k].front() == '[') {
       auto mem = ParseMemOperand(toks[k]);
-      if (!mem) return Error{mem.error()};
+      if (!mem) return Status::Fail(mem.error());
       // Post-index: `[xN], #i` arrives as a following immediate token.
-      if (k + 1 < toks.size() && !mem->writeback &&
+      if (k + 1 < ntoks && !mem->writeback &&
           mem->off_kind == Operand::OffKind::kNone &&
-          (toks[k + 1].front() == '#' ||
-           std::isdigit(static_cast<unsigned char>(toks[k + 1][0])) ||
-           toks[k + 1].front() == '-')) {
+          StartsImmediate(toks[k + 1])) {
         auto n = ParseNumber(toks[k + 1]);
-        if (!n) return Error{"bad post-index immediate"};
-        out.post_imm = *n;
+        if (!n) return Status::Fail("bad post-index immediate");
+        out->post_imm = *n;
         ++k;
       }
-      out.ops.push_back(*mem);
+      out->ops.push_back(*mem);
       continue;
     }
     auto op = ParseSimpleOperand(toks[k]);
-    if (!op) return Error{op.error()};
-    out.ops.push_back(*op);
+    if (!op) return Status::Fail(op.error());
+    out->ops.push_back(*op);
   }
-  return out;
+  return Status::Ok();
 }
 
 // ----- Mnemonic assembly: build Inst values from operand lists -----
+
+// How a mnemonic's operands become an instruction: one builder per
+// family, each fed the family member's arch mnemonic.
+enum class Family : uint8_t {
+  kAddSub,     // add/adds/sub/subs (register-form Mn)
+  kZrAlias,    // cmp/cmn/tst: the add/sub/ands family with rd = zr
+  kLogical,    // and/ands/orr/eor/bic
+  kNeg,
+  kMov,
+  kMovWide,    // movz/movn/movk
+  kShift,      // lsl/lsr/asr aliases of ubfm/sbfm
+  kExtendAlias,  // sxtw/sxtb/sxth/uxtb/uxth
+  kBfm,        // ubfm/sbfm
+  kMul,        // mul/madd/msub/mneg
+  kReg3,       // sdiv/udiv/umulh/smulh
+  kCondCmp,    // ccmp/ccmn
+  kExtr,
+  kRor,
+  kCondSel,    // csel/csinc/csinv/csneg
+  kCset,
+  kUnary,      // clz/rbit/rev
+  kAdr,        // adr/adrp
+  kLoadStore,  // ldr/str and their sized/unscaled forms
+  kPair,       // ldp/stp
+  kExclusive,  // ldxr/ldar/stlr
+  kStxr,
+  kBranch,     // b/bl/cbz/cbnz/tbz/tbnz
+  kBranchReg,  // br/blr
+  kRet,
+  kFp3,        // fadd/fsub/fmul/fdiv
+  kFsqrt,
+  kFmadd,
+  kFcmp,
+  kScvtf,
+  kFcvtzs,
+  kFmov,
+  kNop,
+  kImm16,      // svc/brk
+  kRtcall,
+  kHostcall,
+};
+
+struct Mnemonic {
+  std::string_view name;  // lower case
+  Family family;
+  Mn mn;  // the instruction (or, for aliases, the form) it builds
+};
+
+// Every mnemonic the parser accepts (b.<cond> aside), sorted by name for
+// binary search.
+constexpr Mnemonic kMnemonics[] = {
+    {"add", Family::kAddSub, Mn::kAddReg},
+    {"adds", Family::kAddSub, Mn::kAddsReg},
+    {"adr", Family::kAdr, Mn::kAdr},
+    {"adrp", Family::kAdr, Mn::kAdrp},
+    {"and", Family::kLogical, Mn::kAndReg},
+    {"ands", Family::kLogical, Mn::kAndsReg},
+    {"asr", Family::kShift, Mn::kSbfm},
+    {"b", Family::kBranch, Mn::kB},
+    {"bic", Family::kLogical, Mn::kBicReg},
+    {"bl", Family::kBranch, Mn::kBl},
+    {"blr", Family::kBranchReg, Mn::kBlr},
+    {"br", Family::kBranchReg, Mn::kBr},
+    {"brk", Family::kImm16, Mn::kBrk},
+    {"cbnz", Family::kBranch, Mn::kCbnz},
+    {"cbz", Family::kBranch, Mn::kCbz},
+    {"ccmn", Family::kCondCmp, Mn::kCcmn},
+    {"ccmp", Family::kCondCmp, Mn::kCcmp},
+    {"clz", Family::kUnary, Mn::kClz},
+    {"cmn", Family::kZrAlias, Mn::kAddsReg},
+    {"cmp", Family::kZrAlias, Mn::kSubsReg},
+    {"csel", Family::kCondSel, Mn::kCsel},
+    {"cset", Family::kCset, Mn::kCsinc},
+    {"csinc", Family::kCondSel, Mn::kCsinc},
+    {"csinv", Family::kCondSel, Mn::kCsinv},
+    {"csneg", Family::kCondSel, Mn::kCsneg},
+    {"eor", Family::kLogical, Mn::kEorReg},
+    {"extr", Family::kExtr, Mn::kExtr},
+    {"fadd", Family::kFp3, Mn::kFadd},
+    {"fcmp", Family::kFcmp, Mn::kFcmp},
+    {"fcvtzs", Family::kFcvtzs, Mn::kFcvtzs},
+    {"fdiv", Family::kFp3, Mn::kFdiv},
+    {"fmadd", Family::kFmadd, Mn::kFmadd},
+    {"fmov", Family::kFmov, Mn::kFmov},
+    {"fmul", Family::kFp3, Mn::kFmul},
+    {"fsqrt", Family::kFsqrt, Mn::kFsqrt},
+    {"fsub", Family::kFp3, Mn::kFsub},
+    {"hostcall", Family::kHostcall, Mn::kNop},
+    {"ldar", Family::kExclusive, Mn::kLdar},
+    {"ldp", Family::kPair, Mn::kLdp},
+    {"ldr", Family::kLoadStore, Mn::kLdr},
+    {"ldrb", Family::kLoadStore, Mn::kLdr},
+    {"ldrh", Family::kLoadStore, Mn::kLdr},
+    {"ldrsb", Family::kLoadStore, Mn::kLdr},
+    {"ldrsh", Family::kLoadStore, Mn::kLdr},
+    {"ldrsw", Family::kLoadStore, Mn::kLdr},
+    {"ldur", Family::kLoadStore, Mn::kLdr},
+    {"ldxr", Family::kExclusive, Mn::kLdxr},
+    {"lsl", Family::kShift, Mn::kUbfm},
+    {"lsr", Family::kShift, Mn::kUbfm},
+    {"madd", Family::kMul, Mn::kMadd},
+    {"mneg", Family::kMul, Mn::kMsub},
+    {"mov", Family::kMov, Mn::kOrrReg},
+    {"movk", Family::kMovWide, Mn::kMovk},
+    {"movn", Family::kMovWide, Mn::kMovn},
+    {"movz", Family::kMovWide, Mn::kMovz},
+    {"msub", Family::kMul, Mn::kMsub},
+    {"mul", Family::kMul, Mn::kMadd},
+    {"neg", Family::kNeg, Mn::kSubReg},
+    {"nop", Family::kNop, Mn::kNop},
+    {"orr", Family::kLogical, Mn::kOrrReg},
+    {"rbit", Family::kUnary, Mn::kRbit},
+    {"ret", Family::kRet, Mn::kRet},
+    {"rev", Family::kUnary, Mn::kRev},
+    {"ror", Family::kRor, Mn::kExtr},
+    {"rtcall", Family::kRtcall, Mn::kNop},
+    {"sbfm", Family::kBfm, Mn::kSbfm},
+    {"scvtf", Family::kScvtf, Mn::kScvtf},
+    {"sdiv", Family::kReg3, Mn::kSdiv},
+    {"smulh", Family::kReg3, Mn::kSmulh},
+    {"stlr", Family::kExclusive, Mn::kStlr},
+    {"stp", Family::kPair, Mn::kStp},
+    {"str", Family::kLoadStore, Mn::kStr},
+    {"strb", Family::kLoadStore, Mn::kStr},
+    {"strh", Family::kLoadStore, Mn::kStr},
+    {"stur", Family::kLoadStore, Mn::kStr},
+    {"stxr", Family::kStxr, Mn::kStxr},
+    {"sub", Family::kAddSub, Mn::kSubReg},
+    {"subs", Family::kAddSub, Mn::kSubsReg},
+    {"svc", Family::kImm16, Mn::kSvc},
+    {"sxtb", Family::kExtendAlias, Mn::kSbfm},
+    {"sxth", Family::kExtendAlias, Mn::kSbfm},
+    {"sxtw", Family::kExtendAlias, Mn::kSbfm},
+    {"tbnz", Family::kBranch, Mn::kTbnz},
+    {"tbz", Family::kBranch, Mn::kTbz},
+    {"tst", Family::kZrAlias, Mn::kAndsReg},
+    {"ubfm", Family::kBfm, Mn::kUbfm},
+    {"udiv", Family::kReg3, Mn::kUdiv},
+    {"umulh", Family::kReg3, Mn::kUmulh},
+    {"uxtb", Family::kExtendAlias, Mn::kUbfm},
+    {"uxth", Family::kExtendAlias, Mn::kUbfm},
+};
+static_assert(std::is_sorted(std::begin(kMnemonics), std::end(kMnemonics),
+                             [](const Mnemonic& a, const Mnemonic& b) {
+                               return a.name < b.name;
+                             }));
+
+const Mnemonic* FindMnemonic(std::string_view lower) {
+  const auto it = std::lower_bound(
+      std::begin(kMnemonics), std::end(kMnemonics), lower,
+      [](const Mnemonic& m, std::string_view n) { return m.name < n; });
+  return it != std::end(kMnemonics) && it->name == lower ? it : nullptr;
+}
 
 Error ErrLine(const std::string& m) { return Error{m}; }
 
@@ -441,12 +687,11 @@ bool IsVReg(const Operand& o) { return o.kind == Operand::Kind::kVReg; }
 
 // Builds an add/sub-family instruction from `rd, rn, <imm|reg>` operands
 // with optional shift/extend. Handles the imm/shifted/extended split.
-Result<AsmStmt> BuildAddSub(bool sub, bool setflags, const ParsedLine& l,
-                            size_t opbase = 0) {
-  if (l.ops.size() < opbase + 3) return ErrLine("add/sub needs 3 operands");
-  const Operand& rd = l.ops[opbase];
-  const Operand& rn = l.ops[opbase + 1];
-  const Operand& src = l.ops[opbase + 2];
+Result<AsmStmt> BuildAddSub(bool sub, bool setflags, const ParsedLine& l) {
+  if (l.ops.size() < 3) return ErrLine("add/sub needs 3 operands");
+  const Operand& rd = l.ops[0];
+  const Operand& rn = l.ops[1];
+  const Operand& src = l.ops[2];
   if (!IsReg(rd) || !IsReg(rn)) return ErrLine("add/sub operand types");
   Inst i;
   i.width = rd.reg_width;
@@ -456,7 +701,7 @@ Result<AsmStmt> BuildAddSub(bool sub, bool setflags, const ParsedLine& l,
     i.mn = sub ? (setflags ? Mn::kSubsImm : Mn::kSubImm)
                : (setflags ? Mn::kAddsImm : Mn::kAddImm);
     i.imm = src.imm;
-    if (l.ops.size() > opbase + 3) return ErrLine("junk after add imm");
+    if (l.ops.size() > 3) return ErrLine("junk after add imm");
     // Negative immediates flip add<->sub.
     if (i.imm < 0) {
       i.imm = -i.imm;
@@ -470,14 +715,14 @@ Result<AsmStmt> BuildAddSub(bool sub, bool setflags, const ParsedLine& l,
     i.mn = Mn::kAddImm;
     AsmStmt s = AsmStmt::OfInst(i);
     s.reloc = Reloc::kLo12;
-    s.target = src.sym;
+    s.target = std::string(src.sym);
     return s;
   }
   if (!IsReg(src)) return ErrLine("add/sub source");
   i.rm = src.reg;
-  const bool has_mod = l.ops.size() > opbase + 3;
-  if (has_mod && l.ops[opbase + 3].kind == Operand::Kind::kExtend) {
-    const Operand& e = l.ops[opbase + 3];
+  const bool has_mod = l.ops.size() > 3;
+  if (has_mod && l.ops[3].kind == Operand::Kind::kExtend) {
+    const Operand& e = l.ops[3];
     if (setflags) return ErrLine("adds/subs ext unsupported");
     i.mn = sub ? Mn::kSubExt : Mn::kAddExt;
     i.ext = e.ext;
@@ -494,11 +739,11 @@ Result<AsmStmt> BuildAddSub(bool sub, bool setflags, const ParsedLine& l,
   i.mn = sub ? (setflags ? Mn::kSubsReg : Mn::kSubReg)
              : (setflags ? Mn::kAddsReg : Mn::kAddReg);
   if (has_mod) {
-    const Operand& sh = l.ops[opbase + 3];
+    const Operand& sh = l.ops[3];
     if (sh.kind != Operand::Kind::kShift) return ErrLine("bad add modifier");
     i.shift = sh.shift;
     i.shift_amount = static_cast<uint8_t>(sh.amount.value_or(0));
-    if (l.ops.size() > opbase + 4) return ErrLine("junk after add");
+    if (l.ops.size() > 4) return ErrLine("junk after add");
   }
   return AsmStmt::OfInst(i);
 }
@@ -540,29 +785,30 @@ Result<AsmStmt> BuildLogical(Mn mn, const ParsedLine& l) {
   return AsmStmt::OfInst(i);
 }
 
-Result<AsmStmt> BuildLoadStore(const std::string& mn, const ParsedLine& l) {
+Result<AsmStmt> BuildLoadStore(const Mnemonic& mn, const ParsedLine& l) {
   Inst i;
-  bool load = mn[0] == 'l';
-  if (mn == "ldr" || mn == "str" || mn == "ldur" || mn == "stur") {
+  const bool load = mn.mn == Mn::kLdr;
+  const std::string_view n = mn.name;
+  if (n == "ldr" || n == "str" || n == "ldur" || n == "stur") {
     i.msize = 0;  // from register width below
-  } else if (mn == "ldrb" || mn == "strb") {
+  } else if (n == "ldrb" || n == "strb") {
     i.msize = 1;
-  } else if (mn == "ldrh" || mn == "strh") {
+  } else if (n == "ldrh" || n == "strh") {
     i.msize = 2;
-  } else if (mn == "ldrsb") {
+  } else if (n == "ldrsb") {
     i.msize = 1;
     i.msigned = true;
-  } else if (mn == "ldrsh") {
+  } else if (n == "ldrsh") {
     i.msize = 2;
     i.msigned = true;
-  } else if (mn == "ldrsw") {
+  } else if (n == "ldrsw") {
     i.msize = 4;
     i.msigned = true;
   } else {
     return ErrLine("bad load/store mnemonic");
   }
   if (l.ops.size() != 2 || !IsMem(l.ops[1])) {
-    return ErrLine(mn + " needs `rt, [mem]`");
+    return ErrLine(std::string(mn.name) + " needs `rt, [mem]`");
   }
   if (IsVReg(l.ops[0])) {
     if (i.msize != 0 || i.msigned) return ErrLine("fp ld/st variant");
@@ -654,242 +900,197 @@ Result<AsmStmt> BuildBranch(Mn mn, const ParsedLine& l, Cond cond) {
     return ErrLine("branch needs a target");
   }
   if (l.ops[lab].kind != Operand::Kind::kLabel) return ErrLine("bad target");
-  return AsmStmt::Branch(i, l.ops[lab].sym);
+  return AsmStmt::Branch(i, std::string(l.ops[lab].sym));
 }
 
-Result<AsmStmt> BuildInst(const ParsedLine& l) {
-  const std::string& m = l.mnemonic;
+Result<AsmStmt> BuildInst(ParsedLine& l) {
   const auto& ops = l.ops;
 
   // b.cond
-  if (m.size() > 2 && m[0] == 'b' && m[1] == '.') {
-    auto c = ParseCond(m.substr(2));
+  if (l.mnemonic.size() > 2 && LowerChar(l.mnemonic[0]) == 'b' &&
+      l.mnemonic[1] == '.') {
+    auto c = ParseCond(l.mnemonic.substr(2));
     if (!c || *c == Cond::kAl) return ErrLine("bad branch condition");
     return BuildBranch(Mn::kBCond, l, *c);
   }
 
-  if (m == "add" && !ops.empty() && IsVReg(ops[0])) {
-    // Vector integer add: add vD.4s, vN.4s, vM.4s
-    if (ops.size() != 3 || !IsVReg(ops[1]) || !IsVReg(ops[2])) {
-      return ErrLine("vector add operands");
-    }
-    Inst i;
-    i.mn = Mn::kVAdd;
-    i.fsize = ops[0].fsize;
-    if (i.fsize != FpSize::kV4S && i.fsize != FpSize::kV2D) {
-      return ErrLine("vector add arrangement");
-    }
-    i.vd = ops[0].vreg;
-    i.vn = ops[1].vreg;
-    i.vm = ops[2].vreg;
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "add" || m == "adds" || m == "sub" || m == "subs") {
-    return BuildAddSub(m[0] == 's', m.back() == 's', l);
-  }
-  if (m == "cmp" || m == "cmn") {
-    // cmp a, b == subs zr, a, b.
-    ParsedLine with_rd = l;
-    Operand zr;
-    zr.kind = Operand::Kind::kReg;
-    zr.reg = Reg::Zr();
-    zr.reg_width = ops.empty() ? Width::kX : ops[0].reg_width;
-    with_rd.ops.insert(with_rd.ops.begin(), zr);
-    return BuildAddSub(m == "cmp", true, with_rd);
-  }
-  if (m == "and") return BuildLogical(Mn::kAndReg, l);
-  if (m == "ands") return BuildLogical(Mn::kAndsReg, l);
-  if (m == "orr") return BuildLogical(Mn::kOrrReg, l);
-  if (m == "eor") return BuildLogical(Mn::kEorReg, l);
-  if (m == "bic") return BuildLogical(Mn::kBicReg, l);
-  if (m == "tst") {
-    ParsedLine with_rd = l;
-    Operand zr;
-    zr.kind = Operand::Kind::kReg;
-    zr.reg = Reg::Zr();
-    zr.reg_width = ops.empty() ? Width::kX : ops[0].reg_width;
-    with_rd.ops.insert(with_rd.ops.begin(), zr);
-    return BuildLogical(Mn::kAndsReg, with_rd);
-  }
-  if (m == "neg") {
-    if (ops.size() != 2 || !IsReg(ops[0]) || !IsReg(ops[1])) {
-      return ErrLine("neg operands");
-    }
-    Inst i;
-    i.mn = Mn::kSubReg;
-    i.width = ops[0].reg_width;
-    i.rd = ops[0].reg;
-    i.rn = Reg::Zr();
-    i.rm = ops[1].reg;
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "mov") {
-    if (ops.size() != 2 || !IsReg(ops[0])) return ErrLine("mov operands");
-    Inst i;
-    i.width = ops[0].reg_width;
-    i.rd = ops[0].reg;
-    if (IsImm(ops[1])) {
-      const int64_t v = ops[1].imm;
-      // movz/movn with a single 16-bit payload; wider constants must be
-      // written as explicit movz/movk pairs.
-      if (v >= 0 && v <= 0xffff) {
-        i.mn = Mn::kMovz;
-        i.imm = v;
-      } else if (v < 0 && -v - 1 <= 0xffff) {
-        i.mn = Mn::kMovn;
-        i.imm = -v - 1;
-      } else {
-        return ErrLine("mov immediate too wide; use movz/movk");
+  std::array<char, 8> buf;  // the longest mnemonic is "hostcall"
+  const Mnemonic* m = FindMnemonic(LowerInto(l.mnemonic, &buf));
+  if (m == nullptr) return ErrLine("unknown mnemonic: " + Lower(l.mnemonic));
+  Inst i;
+  i.mn = m->mn;
+  switch (m->family) {
+    case Family::kAddSub:
+      if (m->mn == Mn::kAddReg && !ops.empty() && IsVReg(ops[0])) {
+        // Vector integer add: add vD.4s, vN.4s, vM.4s
+        if (ops.size() != 3 || !IsVReg(ops[1]) || !IsVReg(ops[2])) {
+          return ErrLine("vector add operands");
+        }
+        i.mn = Mn::kVAdd;
+        i.fsize = ops[0].fsize;
+        if (i.fsize != FpSize::kV4S && i.fsize != FpSize::kV2D) {
+          return ErrLine("vector add arrangement");
+        }
+        i.vd = ops[0].vreg;
+        i.vn = ops[1].vreg;
+        i.vm = ops[2].vreg;
+        return AsmStmt::OfInst(i);
       }
-      return AsmStmt::OfInst(i);
+      return BuildAddSub(m->mn == Mn::kSubReg || m->mn == Mn::kSubsReg,
+                         m->mn == Mn::kAddsReg || m->mn == Mn::kSubsReg, l);
+    case Family::kZrAlias: {
+      // cmp a, b == subs zr, a, b; cmn likewise adds; tst == ands.
+      Operand zr;
+      zr.kind = Operand::Kind::kReg;
+      zr.reg = Reg::Zr();
+      zr.reg_width = ops.empty() ? Width::kX : ops[0].reg_width;
+      l.ops.push_front(zr);
+      if (m->mn == Mn::kAndsReg) return BuildLogical(Mn::kAndsReg, l);
+      return BuildAddSub(m->mn == Mn::kSubsReg, true, l);
     }
-    if (!IsReg(ops[1])) return ErrLine("mov source");
-    // mov to/from sp uses add #0; otherwise orr zr.
-    if (ops[0].reg.IsSp() || ops[1].reg.IsSp()) {
-      i.mn = Mn::kAddImm;
-      i.rn = ops[1].reg;
-      i.imm = 0;
-      return AsmStmt::OfInst(i);
-    }
-    i.mn = Mn::kOrrReg;
-    i.rn = Reg::Zr();
-    i.rm = ops[1].reg;
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "movz" || m == "movn" || m == "movk") {
-    if (ops.size() < 2 || !IsReg(ops[0]) || !IsImm(ops[1])) {
-      return ErrLine("movz operands");
-    }
-    Inst i;
-    i.mn = m == "movz" ? Mn::kMovz : (m == "movn" ? Mn::kMovn : Mn::kMovk);
-    i.width = ops[0].reg_width;
-    i.rd = ops[0].reg;
-    i.imm = ops[1].imm;
-    if (ops.size() == 3) {
-      if (ops[2].kind != Operand::Kind::kShift || ops[2].shift != Shift::kLsl) {
-        return ErrLine("movz shift");
+    case Family::kLogical:
+      return BuildLogical(m->mn, l);
+    case Family::kNeg:
+      if (ops.size() != 2 || !IsReg(ops[0]) || !IsReg(ops[1])) {
+        return ErrLine("neg operands");
       }
-      i.shift_amount = static_cast<uint8_t>(ops[2].amount.value_or(0));
-    }
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "lsl" || m == "lsr" || m == "asr") {
-    if (ops.size() != 3 || !IsReg(ops[0]) || !IsReg(ops[1]) || !IsImm(ops[2])) {
-      return ErrLine("register-shift forms unsupported");
-    }
-    Inst i;
-    i.width = ops[0].reg_width;
-    i.rd = ops[0].reg;
-    i.rn = ops[1].reg;
-    const uint8_t bits = i.width == Width::kX ? 64 : 32;
-    const uint8_t s = static_cast<uint8_t>(ops[2].imm);
-    if (s >= bits) return ErrLine("shift amount too large");
-    if (m == "lsl") {
-      i.mn = Mn::kUbfm;
-      i.immr = static_cast<uint8_t>((bits - s) % bits);
-      i.imms = static_cast<uint8_t>(bits - 1 - s);
-    } else {
-      i.mn = m == "lsr" ? Mn::kUbfm : Mn::kSbfm;
-      i.immr = s;
-      i.imms = bits - 1;
-    }
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "sxtw" || m == "sxtb" || m == "sxth" || m == "uxtb" ||
-      m == "uxth") {
-    if (ops.size() != 2 || !IsReg(ops[0]) || !IsReg(ops[1])) {
-      return ErrLine("extend alias operands");
-    }
-    Inst i;
-    i.mn = m[0] == 's' ? Mn::kSbfm : Mn::kUbfm;
-    i.width = ops[0].reg_width;
-    i.rd = ops[0].reg;
-    i.rn = ops[1].reg;
-    i.immr = 0;
-    i.imms = m.substr(3) == "w" ? 31 : (m.substr(3) == "h" ? 15 : 7);
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "ubfm" || m == "sbfm") {
-    if (ops.size() != 4 || !IsReg(ops[0]) || !IsReg(ops[1]) ||
-        !IsImm(ops[2]) || !IsImm(ops[3])) {
-      return ErrLine("bfm operands");
-    }
-    Inst i;
-    i.mn = m == "ubfm" ? Mn::kUbfm : Mn::kSbfm;
-    i.width = ops[0].reg_width;
-    i.rd = ops[0].reg;
-    i.rn = ops[1].reg;
-    i.immr = static_cast<uint8_t>(ops[2].imm);
-    i.imms = static_cast<uint8_t>(ops[3].imm);
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "mul" || m == "madd" || m == "msub" || m == "mneg") {
-    Inst i;
-    i.mn = (m == "msub" || m == "mneg") ? Mn::kMsub : Mn::kMadd;
-    const size_t need = (m == "mul" || m == "mneg") ? 3 : 4;
-    if (ops.size() != need) return ErrLine("mul operands");
-    for (size_t k = 0; k < need; ++k) {
-      if (!IsReg(ops[k])) return ErrLine("mul operands");
-    }
-    i.width = ops[0].reg_width;
-    i.rd = ops[0].reg;
-    i.rn = ops[1].reg;
-    i.rm = ops[2].reg;
-    i.ra = need == 4 ? ops[3].reg : Reg::Zr();
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "sdiv" || m == "udiv" || m == "umulh" || m == "smulh") {
-    if (ops.size() != 3) return ErrLine("3-reg op operands");
-    Inst i;
-    i.mn = m == "sdiv" ? Mn::kSdiv
-                       : (m == "udiv" ? Mn::kUdiv
-                                      : (m == "umulh" ? Mn::kUmulh
-                                                      : Mn::kSmulh));
-    i.width = ops[0].reg_width;
-    i.rd = ops[0].reg;
-    i.rn = ops[1].reg;
-    i.rm = ops[2].reg;
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "ccmp" || m == "ccmn") {
-    // ccmp rn, rm|#imm5, #nzcv, cond
-    if (ops.size() != 4 || !IsReg(ops[0]) || !IsImm(ops[2]) ||
-        ops[3].kind != Operand::Kind::kLabel) {
-      return ErrLine("ccmp operands");
-    }
-    auto c = ParseCond(ops[3].sym);
-    if (!c) return ErrLine("bad ccmp condition");
-    Inst i;
-    i.width = ops[0].reg_width;
-    i.rn = ops[0].reg;
-    i.nzcv = static_cast<uint8_t>(ops[2].imm);
-    i.cond = *c;
-    if (IsImm(ops[1])) {
-      i.mn = m == "ccmp" ? Mn::kCcmpImm : Mn::kCcmnImm;
-      i.imm = ops[1].imm;
-    } else if (IsReg(ops[1])) {
-      i.mn = m == "ccmp" ? Mn::kCcmp : Mn::kCcmn;
+      i.width = ops[0].reg_width;
+      i.rd = ops[0].reg;
+      i.rn = Reg::Zr();
       i.rm = ops[1].reg;
-    } else {
-      return ErrLine("ccmp second operand");
-    }
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "extr" || m == "ror") {
-    // extr rd, rn, rm, #lsb; ror rd, rs, #shift == extr rd, rs, rs, #shift
-    Inst i;
-    i.mn = Mn::kExtr;
-    if (m == "ror") {
+      return AsmStmt::OfInst(i);
+    case Family::kMov:
+      if (ops.size() != 2 || !IsReg(ops[0])) return ErrLine("mov operands");
+      i.width = ops[0].reg_width;
+      i.rd = ops[0].reg;
+      if (IsImm(ops[1])) {
+        const int64_t v = ops[1].imm;
+        // movz/movn with a single 16-bit payload; wider constants must be
+        // written as explicit movz/movk pairs.
+        if (v >= 0 && v <= 0xffff) {
+          i.mn = Mn::kMovz;
+          i.imm = v;
+        } else if (v < 0 && -v - 1 <= 0xffff) {
+          i.mn = Mn::kMovn;
+          i.imm = -v - 1;
+        } else {
+          return ErrLine("mov immediate too wide; use movz/movk");
+        }
+        return AsmStmt::OfInst(i);
+      }
+      if (!IsReg(ops[1])) return ErrLine("mov source");
+      // mov to/from sp uses add #0; otherwise orr zr.
+      if (ops[0].reg.IsSp() || ops[1].reg.IsSp()) {
+        i.mn = Mn::kAddImm;
+        i.rn = ops[1].reg;
+        i.imm = 0;
+        return AsmStmt::OfInst(i);
+      }
+      i.rn = Reg::Zr();
+      i.rm = ops[1].reg;
+      return AsmStmt::OfInst(i);
+    case Family::kMovWide:
+      if (ops.size() < 2 || !IsReg(ops[0]) || !IsImm(ops[1])) {
+        return ErrLine("movz operands");
+      }
+      i.width = ops[0].reg_width;
+      i.rd = ops[0].reg;
+      i.imm = ops[1].imm;
+      if (ops.size() == 3) {
+        if (ops[2].kind != Operand::Kind::kShift ||
+            ops[2].shift != Shift::kLsl) {
+          return ErrLine("movz shift");
+        }
+        i.shift_amount = static_cast<uint8_t>(ops[2].amount.value_or(0));
+      }
+      return AsmStmt::OfInst(i);
+    case Family::kShift: {
       if (ops.size() != 3 || !IsReg(ops[0]) || !IsReg(ops[1]) ||
           !IsImm(ops[2])) {
-        return ErrLine("ror operands");
+        return ErrLine("register-shift forms unsupported");
       }
       i.width = ops[0].reg_width;
       i.rd = ops[0].reg;
       i.rn = ops[1].reg;
-      i.rm = ops[1].reg;
-      i.imms = static_cast<uint8_t>(ops[2].imm);
-    } else {
+      const uint8_t bits = i.width == Width::kX ? 64 : 32;
+      const uint8_t s = static_cast<uint8_t>(ops[2].imm);
+      if (s >= bits) return ErrLine("shift amount too large");
+      if (m->name == "lsl") {
+        i.immr = static_cast<uint8_t>((bits - s) % bits);
+        i.imms = static_cast<uint8_t>(bits - 1 - s);
+      } else {
+        i.immr = s;
+        i.imms = bits - 1;
+      }
+      return AsmStmt::OfInst(i);
+    }
+    case Family::kExtendAlias:
+      if (ops.size() != 2 || !IsReg(ops[0]) || !IsReg(ops[1])) {
+        return ErrLine("extend alias operands");
+      }
+      i.width = ops[0].reg_width;
+      i.rd = ops[0].reg;
+      i.rn = ops[1].reg;
+      i.immr = 0;
+      // The source width is the name's last letter: w, h or b.
+      i.imms = m->name[3] == 'w' ? 31 : (m->name[3] == 'h' ? 15 : 7);
+      return AsmStmt::OfInst(i);
+    case Family::kBfm:
+      if (ops.size() != 4 || !IsReg(ops[0]) || !IsReg(ops[1]) ||
+          !IsImm(ops[2]) || !IsImm(ops[3])) {
+        return ErrLine("bfm operands");
+      }
+      i.width = ops[0].reg_width;
+      i.rd = ops[0].reg;
+      i.rn = ops[1].reg;
+      i.immr = static_cast<uint8_t>(ops[2].imm);
+      i.imms = static_cast<uint8_t>(ops[3].imm);
+      return AsmStmt::OfInst(i);
+    case Family::kMul: {
+      // mul/mneg are madd/msub with ra = zr.
+      const size_t need = m->name == "mul" || m->name == "mneg" ? 3 : 4;
+      if (ops.size() != need) return ErrLine("mul operands");
+      for (size_t k = 0; k < need; ++k) {
+        if (!IsReg(ops[k])) return ErrLine("mul operands");
+      }
+      i.width = ops[0].reg_width;
+      i.rd = ops[0].reg;
+      i.rn = ops[1].reg;
+      i.rm = ops[2].reg;
+      i.ra = need == 4 ? ops[3].reg : Reg::Zr();
+      return AsmStmt::OfInst(i);
+    }
+    case Family::kReg3:
+      if (ops.size() != 3) return ErrLine("3-reg op operands");
+      i.width = ops[0].reg_width;
+      i.rd = ops[0].reg;
+      i.rn = ops[1].reg;
+      i.rm = ops[2].reg;
+      return AsmStmt::OfInst(i);
+    case Family::kCondCmp: {
+      // ccmp rn, rm|#imm5, #nzcv, cond
+      if (ops.size() != 4 || !IsReg(ops[0]) || !IsImm(ops[2]) ||
+          ops[3].kind != Operand::Kind::kLabel) {
+        return ErrLine("ccmp operands");
+      }
+      auto c = ParseCond(ops[3].sym);
+      if (!c) return ErrLine("bad ccmp condition");
+      i.width = ops[0].reg_width;
+      i.rn = ops[0].reg;
+      i.nzcv = static_cast<uint8_t>(ops[2].imm);
+      i.cond = *c;
+      if (IsImm(ops[1])) {
+        i.mn = m->mn == Mn::kCcmp ? Mn::kCcmpImm : Mn::kCcmnImm;
+        i.imm = ops[1].imm;
+      } else if (IsReg(ops[1])) {
+        i.rm = ops[1].reg;
+      } else {
+        return ErrLine("ccmp second operand");
+      }
+      return AsmStmt::OfInst(i);
+    }
+    case Family::kExtr:
+      // extr rd, rn, rm, #lsb
       if (ops.size() != 4 || !IsReg(ops[0]) || !IsReg(ops[1]) ||
           !IsReg(ops[2]) || !IsImm(ops[3])) {
         return ErrLine("extr operands");
@@ -899,232 +1100,187 @@ Result<AsmStmt> BuildInst(const ParsedLine& l) {
       i.rn = ops[1].reg;
       i.rm = ops[2].reg;
       i.imms = static_cast<uint8_t>(ops[3].imm);
-    }
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "csel" || m == "csinc" || m == "csinv" || m == "csneg") {
-    if (ops.size() != 4 || !IsReg(ops[0]) || !IsReg(ops[1]) ||
-        !IsReg(ops[2]) || ops[3].kind != Operand::Kind::kLabel) {
-      return ErrLine("csel operands");
-    }
-    auto c = ParseCond(ops[3].sym);
-    if (!c) return ErrLine("bad condition: " + ops[3].sym);
-    Inst i;
-    i.mn = m == "csel" ? Mn::kCsel
-                       : (m == "csinc" ? Mn::kCsinc
-                                       : (m == "csinv" ? Mn::kCsinv
-                                                       : Mn::kCsneg));
-    i.width = ops[0].reg_width;
-    i.rd = ops[0].reg;
-    i.rn = ops[1].reg;
-    i.rm = ops[2].reg;
-    i.cond = *c;
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "cset") {
-    if (ops.size() != 2 || !IsReg(ops[0]) ||
-        ops[1].kind != Operand::Kind::kLabel) {
-      return ErrLine("cset operands");
-    }
-    auto c = ParseCond(ops[1].sym);
-    if (!c) return ErrLine("bad condition");
-    Inst i;
-    i.mn = Mn::kCsinc;
-    i.width = ops[0].reg_width;
-    i.rd = ops[0].reg;
-    i.rn = Reg::Zr();
-    i.rm = Reg::Zr();
-    i.cond = Invert(*c);
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "clz" || m == "rbit" || m == "rev") {
-    if (ops.size() != 2 || !IsReg(ops[0]) || !IsReg(ops[1])) {
-      return ErrLine("unary operands");
-    }
-    Inst i;
-    i.mn = m == "clz" ? Mn::kClz : (m == "rbit" ? Mn::kRbit : Mn::kRev);
-    i.width = ops[0].reg_width;
-    i.rd = ops[0].reg;
-    i.rn = ops[1].reg;
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "adr" || m == "adrp") {
-    if (ops.size() != 2 || !IsReg(ops[0]) ||
-        ops[1].kind != Operand::Kind::kLabel) {
-      return ErrLine("adr operands");
-    }
-    Inst i;
-    i.mn = m == "adr" ? Mn::kAdr : Mn::kAdrp;
-    i.rd = ops[0].reg;
-    return AsmStmt::Branch(i, ops[1].sym);
-  }
-  if (m == "ldr" || m == "str" || m == "ldur" || m == "stur" ||
-      m == "ldrb" || m == "strb" || m == "ldrh" || m == "strh" ||
-      m == "ldrsb" || m == "ldrsh" || m == "ldrsw") {
-    return BuildLoadStore(m, l);
-  }
-  if (m == "ldp" || m == "stp") return BuildPair(m == "ldp", l);
-  if (m == "ldxr" || m == "ldar" || m == "stlr") {
-    if (ops.size() != 2 || !IsReg(ops[0]) || !IsMem(ops[1])) {
-      return ErrLine("exclusive operands");
-    }
-    Inst i;
-    i.mn = m == "ldxr" ? Mn::kLdxr : (m == "ldar" ? Mn::kLdar : Mn::kStlr);
-    i.rt = ops[0].reg;
-    i.width = ops[0].reg_width;
-    i.msize = i.width == Width::kX ? 8 : 4;
-    auto st = FillMem(ops[1], l.post_imm, &i);
-    if (!st.ok()) return Error{st.error()};
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "stxr") {
-    if (ops.size() != 3 || !IsReg(ops[0]) || !IsReg(ops[1]) ||
-        !IsMem(ops[2])) {
-      return ErrLine("stxr operands");
-    }
-    Inst i;
-    i.mn = Mn::kStxr;
-    i.rs = ops[0].reg;
-    i.rt = ops[1].reg;
-    i.width = ops[1].reg_width;
-    i.msize = i.width == Width::kX ? 8 : 4;
-    auto st = FillMem(ops[2], l.post_imm, &i);
-    if (!st.ok()) return Error{st.error()};
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "b") return BuildBranch(Mn::kB, l, Cond::kAl);
-  if (m == "bl") return BuildBranch(Mn::kBl, l, Cond::kAl);
-  if (m == "cbz") return BuildBranch(Mn::kCbz, l, Cond::kAl);
-  if (m == "cbnz") return BuildBranch(Mn::kCbnz, l, Cond::kAl);
-  if (m == "tbz") return BuildBranch(Mn::kTbz, l, Cond::kAl);
-  if (m == "tbnz") return BuildBranch(Mn::kTbnz, l, Cond::kAl);
-  if (m == "br" || m == "blr") {
-    if (ops.size() != 1 || !IsReg(ops[0])) return ErrLine("br operands");
-    Inst i;
-    i.mn = m == "br" ? Mn::kBr : Mn::kBlr;
-    i.rn = ops[0].reg;
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "ret") {
-    Inst i;
-    i.mn = Mn::kRet;
-    i.rn = ops.empty() ? Reg::X(30) : ops[0].reg;
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "fadd") return BuildFp2(Mn::kFadd, l);
-  if (m == "fsub") return BuildFp2(Mn::kFsub, l);
-  if (m == "fmul") return BuildFp2(Mn::kFmul, l);
-  if (m == "fdiv") return BuildFp2(Mn::kFdiv, l);
-  if (m == "fsqrt") {
-    if (ops.size() != 2 || !IsVReg(ops[0]) || !IsVReg(ops[1])) {
-      return ErrLine("fsqrt operands");
-    }
-    Inst i;
-    i.mn = Mn::kFsqrt;
-    i.fsize = ops[0].fsize;
-    i.vd = ops[0].vreg;
-    i.vn = ops[1].vreg;
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "fmadd") {
-    if (ops.size() != 4) return ErrLine("fmadd operands");
-    Inst i;
-    i.mn = Mn::kFmadd;
-    i.fsize = ops[0].fsize;
-    i.vd = ops[0].vreg;
-    i.vn = ops[1].vreg;
-    i.vm = ops[2].vreg;
-    i.va = ops[3].vreg;
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "fcmp") {
-    if (ops.size() != 2 || !IsVReg(ops[0]) || !IsVReg(ops[1])) {
-      return ErrLine("fcmp operands");
-    }
-    Inst i;
-    i.mn = Mn::kFcmp;
-    i.fsize = ops[0].fsize;
-    i.vn = ops[0].vreg;
-    i.vm = ops[1].vreg;
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "scvtf") {
-    if (ops.size() != 2 || !IsVReg(ops[0]) || !IsReg(ops[1])) {
-      return ErrLine("scvtf operands");
-    }
-    Inst i;
-    i.mn = Mn::kScvtf;
-    i.fsize = ops[0].fsize;
-    i.vd = ops[0].vreg;
-    i.rn = ops[1].reg;
-    i.width = ops[1].reg_width;
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "fcvtzs") {
-    if (ops.size() != 2 || !IsReg(ops[0]) || !IsVReg(ops[1])) {
-      return ErrLine("fcvtzs operands");
-    }
-    Inst i;
-    i.mn = Mn::kFcvtzs;
-    i.fsize = ops[1].fsize;
-    i.vn = ops[1].vreg;
-    i.rd = ops[0].reg;
-    i.width = ops[0].reg_width;
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "fmov") {
-    if (ops.size() != 2) return ErrLine("fmov operands");
-    Inst i;
-    i.mn = Mn::kFmov;
-    if (IsVReg(ops[0]) && IsVReg(ops[1])) {
-      i.fsize = ops[0].fsize;
-      i.vd = ops[0].vreg;
-      i.vn = ops[1].vreg;
-    } else if (IsReg(ops[0]) && IsVReg(ops[1])) {
-      i.rd = ops[0].reg;
+      return AsmStmt::OfInst(i);
+    case Family::kRor:
+      // ror rd, rs, #shift == extr rd, rs, rs, #shift
+      if (ops.size() != 3 || !IsReg(ops[0]) || !IsReg(ops[1]) ||
+          !IsImm(ops[2])) {
+        return ErrLine("ror operands");
+      }
       i.width = ops[0].reg_width;
-      i.vn = ops[1].vreg;
-      i.fsize = ops[1].fsize;
-    } else if (IsVReg(ops[0]) && IsReg(ops[1])) {
-      i.vd = ops[0].vreg;
+      i.rd = ops[0].reg;
+      i.rn = ops[1].reg;
+      i.rm = ops[1].reg;
+      i.imms = static_cast<uint8_t>(ops[2].imm);
+      return AsmStmt::OfInst(i);
+    case Family::kCondSel: {
+      if (ops.size() != 4 || !IsReg(ops[0]) || !IsReg(ops[1]) ||
+          !IsReg(ops[2]) || ops[3].kind != Operand::Kind::kLabel) {
+        return ErrLine("csel operands");
+      }
+      auto c = ParseCond(ops[3].sym);
+      if (!c) return ErrLine("bad condition: " + std::string(ops[3].sym));
+      i.width = ops[0].reg_width;
+      i.rd = ops[0].reg;
+      i.rn = ops[1].reg;
+      i.rm = ops[2].reg;
+      i.cond = *c;
+      return AsmStmt::OfInst(i);
+    }
+    case Family::kCset: {
+      if (ops.size() != 2 || !IsReg(ops[0]) ||
+          ops[1].kind != Operand::Kind::kLabel) {
+        return ErrLine("cset operands");
+      }
+      auto c = ParseCond(ops[1].sym);
+      if (!c) return ErrLine("bad condition");
+      i.width = ops[0].reg_width;
+      i.rd = ops[0].reg;
+      i.rn = Reg::Zr();
+      i.rm = Reg::Zr();
+      i.cond = Invert(*c);
+      return AsmStmt::OfInst(i);
+    }
+    case Family::kUnary:
+      if (ops.size() != 2 || !IsReg(ops[0]) || !IsReg(ops[1])) {
+        return ErrLine("unary operands");
+      }
+      i.width = ops[0].reg_width;
+      i.rd = ops[0].reg;
+      i.rn = ops[1].reg;
+      return AsmStmt::OfInst(i);
+    case Family::kAdr:
+      if (ops.size() != 2 || !IsReg(ops[0]) ||
+          ops[1].kind != Operand::Kind::kLabel) {
+        return ErrLine("adr operands");
+      }
+      i.rd = ops[0].reg;
+      return AsmStmt::Branch(i, std::string(ops[1].sym));
+    case Family::kLoadStore:
+      return BuildLoadStore(*m, l);
+    case Family::kPair:
+      return BuildPair(m->mn == Mn::kLdp, l);
+    case Family::kExclusive: {
+      if (ops.size() != 2 || !IsReg(ops[0]) || !IsMem(ops[1])) {
+        return ErrLine("exclusive operands");
+      }
+      i.rt = ops[0].reg;
+      i.width = ops[0].reg_width;
+      i.msize = i.width == Width::kX ? 8 : 4;
+      auto st = FillMem(ops[1], l.post_imm, &i);
+      if (!st.ok()) return Error{st.error()};
+      return AsmStmt::OfInst(i);
+    }
+    case Family::kStxr: {
+      if (ops.size() != 3 || !IsReg(ops[0]) || !IsReg(ops[1]) ||
+          !IsMem(ops[2])) {
+        return ErrLine("stxr operands");
+      }
+      i.rs = ops[0].reg;
+      i.rt = ops[1].reg;
+      i.width = ops[1].reg_width;
+      i.msize = i.width == Width::kX ? 8 : 4;
+      auto st = FillMem(ops[2], l.post_imm, &i);
+      if (!st.ok()) return Error{st.error()};
+      return AsmStmt::OfInst(i);
+    }
+    case Family::kBranch:
+      return BuildBranch(m->mn, l, Cond::kAl);
+    case Family::kBranchReg:
+      if (ops.size() != 1 || !IsReg(ops[0])) return ErrLine("br operands");
+      i.rn = ops[0].reg;
+      return AsmStmt::OfInst(i);
+    case Family::kRet:
+      i.rn = ops.empty() ? Reg::X(30) : ops[0].reg;
+      return AsmStmt::OfInst(i);
+    case Family::kFp3:
+      return BuildFp2(m->mn, l);
+    case Family::kFsqrt:
+      if (ops.size() != 2 || !IsVReg(ops[0]) || !IsVReg(ops[1])) {
+        return ErrLine("fsqrt operands");
+      }
       i.fsize = ops[0].fsize;
+      i.vd = ops[0].vreg;
+      i.vn = ops[1].vreg;
+      return AsmStmt::OfInst(i);
+    case Family::kFmadd:
+      if (ops.size() != 4) return ErrLine("fmadd operands");
+      i.fsize = ops[0].fsize;
+      i.vd = ops[0].vreg;
+      i.vn = ops[1].vreg;
+      i.vm = ops[2].vreg;
+      i.va = ops[3].vreg;
+      return AsmStmt::OfInst(i);
+    case Family::kFcmp:
+      if (ops.size() != 2 || !IsVReg(ops[0]) || !IsVReg(ops[1])) {
+        return ErrLine("fcmp operands");
+      }
+      i.fsize = ops[0].fsize;
+      i.vn = ops[0].vreg;
+      i.vm = ops[1].vreg;
+      return AsmStmt::OfInst(i);
+    case Family::kScvtf:
+      if (ops.size() != 2 || !IsVReg(ops[0]) || !IsReg(ops[1])) {
+        return ErrLine("scvtf operands");
+      }
+      i.fsize = ops[0].fsize;
+      i.vd = ops[0].vreg;
       i.rn = ops[1].reg;
       i.width = ops[1].reg_width;
-    } else {
-      return ErrLine("fmov operand kinds");
+      return AsmStmt::OfInst(i);
+    case Family::kFcvtzs:
+      if (ops.size() != 2 || !IsReg(ops[0]) || !IsVReg(ops[1])) {
+        return ErrLine("fcvtzs operands");
+      }
+      i.fsize = ops[1].fsize;
+      i.vn = ops[1].vreg;
+      i.rd = ops[0].reg;
+      i.width = ops[0].reg_width;
+      return AsmStmt::OfInst(i);
+    case Family::kFmov:
+      if (ops.size() != 2) return ErrLine("fmov operands");
+      if (IsVReg(ops[0]) && IsVReg(ops[1])) {
+        i.fsize = ops[0].fsize;
+        i.vd = ops[0].vreg;
+        i.vn = ops[1].vreg;
+      } else if (IsReg(ops[0]) && IsVReg(ops[1])) {
+        i.rd = ops[0].reg;
+        i.width = ops[0].reg_width;
+        i.vn = ops[1].vreg;
+        i.fsize = ops[1].fsize;
+      } else if (IsVReg(ops[0]) && IsReg(ops[1])) {
+        i.vd = ops[0].vreg;
+        i.fsize = ops[0].fsize;
+        i.rn = ops[1].reg;
+        i.width = ops[1].reg_width;
+      } else {
+        return ErrLine("fmov operand kinds");
+      }
+      return AsmStmt::OfInst(i);
+    case Family::kNop:
+      return AsmStmt::OfInst(i);
+    case Family::kImm16:
+      i.imm = (ops.size() == 1 && IsImm(ops[0])) ? ops[0].imm : 0;
+      return AsmStmt::OfInst(i);
+    case Family::kRtcall:
+    case Family::kHostcall: {
+      const bool rtcall = m->family == Family::kRtcall;
+      if (ops.size() != 1 || !IsImm(ops[0])) {
+        return ErrLine(rtcall ? "rtcall #n" : "hostcall #i");
+      }
+      AsmStmt s;
+      s.kind = rtcall ? AsmStmt::Kind::kRtcall : AsmStmt::Kind::kHostcall;
+      s.inst.imm = ops[0].imm;
+      return s;
     }
-    return AsmStmt::OfInst(i);
   }
-  if (m == "nop") {
-    Inst i;
-    i.mn = Mn::kNop;
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "svc" || m == "brk") {
-    Inst i;
-    i.mn = m == "svc" ? Mn::kSvc : Mn::kBrk;
-    i.imm = (ops.size() == 1 && IsImm(ops[0])) ? ops[0].imm : 0;
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "rtcall") {
-    if (ops.size() != 1 || !IsImm(ops[0])) return ErrLine("rtcall #n");
-    AsmStmt s;
-    s.kind = AsmStmt::Kind::kRtcall;
-    s.inst.imm = ops[0].imm;
-    return s;
-  }
-  if (m == "hostcall") {
-    if (ops.size() != 1 || !IsImm(ops[0])) return ErrLine("hostcall #i");
-    AsmStmt s;
-    s.kind = AsmStmt::Kind::kHostcall;
-    s.inst.imm = ops[0].imm;
-    return s;
-  }
-  return ErrLine("unknown mnemonic: " + m);
+  return ErrLine("unknown mnemonic: " + Lower(l.mnemonic));
 }
 
-Result<AsmStmt> BuildDirective(const std::string& name,
+Result<AsmStmt> BuildDirective(std::string_view raw_name,
                                std::string_view rest) {
+  std::array<char, 24> buf;  // the longest directive is ".cfi_def_cfa_offset"
+  const std::string_view name = LowerInto(raw_name, &buf);
   Directive d;
   if (name == ".text") {
     d.kind = Directive::Kind::kSection;
@@ -1162,15 +1318,16 @@ Result<AsmStmt> BuildDirective(const std::string& name,
     d.kind = name == ".byte" ? Directive::Kind::kByte
                              : (name == ".word" ? Directive::Kind::kWord
                                                 : Directive::Kind::kQuad);
-    for (auto tok : SplitOperands(rest)) {
+    ForEachOperand(rest, [&d](std::string_view tok) {
       if (auto v = ParseNumber(tok)) {
         d.values.push_back(*v);
         d.syms.emplace_back();
       } else {
         d.values.push_back(0);
-        d.syms.emplace_back(Trim(tok));
+        d.syms.emplace_back(tok);
       }
-    }
+      return true;
+    });
   } else if (name == ".asciz" || name == ".string") {
     d.kind = Directive::Kind::kAsciz;
     auto t = Trim(rest);
@@ -1193,7 +1350,7 @@ Result<AsmStmt> BuildDirective(const std::string& name,
         out.push_back(t[k]);
       }
     }
-    d.text = out;
+    d.text = std::move(out);
   } else if (name == ".zero" || name == ".space" || name == ".skip") {
     d.kind = Directive::Kind::kZero;
     auto n = ParseNumber(Trim(rest));
@@ -1207,7 +1364,7 @@ Result<AsmStmt> BuildDirective(const std::string& name,
     d.kind = Directive::Kind::kBalign;
     d.values.push_back(1);
   } else {
-    return Error{"unknown directive: " + name};
+    return Error{"unknown directive: " + Lower(raw_name)};
   }
   AsmStmt s;
   s.kind = AsmStmt::Kind::kDirective;
@@ -1218,13 +1375,16 @@ Result<AsmStmt> BuildDirective(const std::string& name,
 }  // namespace
 
 Result<AsmStmt> ParseInst(std::string_view line) {
-  auto toks = Tokenize(line);
-  if (!toks) return Error{toks.error()};
-  return BuildInst(*toks);
+  ParsedLine l;
+  if (auto st = Tokenize(line, &l); !st.ok()) return Error{st.error()};
+  return BuildInst(l);
 }
 
 Result<AsmFile> Parse(std::string_view source) {
   AsmFile file;
+  file.stmts.reserve(
+      static_cast<size_t>(std::count(source.begin(), source.end(), '\n')) +
+      1);
   int lineno = 0;
   size_t pos = 0;
   while (pos <= source.size()) {
@@ -1256,8 +1416,8 @@ Result<AsmFile> Parse(std::string_view source) {
     if (line.empty()) continue;
     if (line.front() == '.') {
       const auto sp = line.find_first_of(" \t");
-      const std::string name =
-          Lower(sp == std::string_view::npos ? line : line.substr(0, sp));
+      const std::string_view name =
+          sp == std::string_view::npos ? line : line.substr(0, sp);
       const std::string_view rest =
           sp == std::string_view::npos ? std::string_view{} : line.substr(sp);
       auto s = BuildDirective(name, rest);

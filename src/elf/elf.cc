@@ -46,10 +46,14 @@ uint64_t Get64(std::span<const uint8_t> b, size_t off) {
 std::vector<uint8_t> Write(const ElfImage& image) {
   const size_t phnum = image.segments.size();
   const size_t header_bytes = kEhdrSize + phnum * kPhdrSize;
+  size_t file_bytes = header_bytes;
+  for (const auto& seg : image.segments) file_bytes += seg.data.size();
 
   std::vector<uint8_t> out;
-  // ELF header.
-  out.insert(out.end(), kMagic, kMagic + 4);
+  out.reserve(file_bytes);
+  // ELF header. (Inserting kMagic as a range here draws a spurious GCC 12
+  // -Wstringop-overflow warning once the buffer is reserved.)
+  for (uint8_t b : kMagic) out.push_back(b);
   out.push_back(kClass64);
   out.push_back(kDataLE);
   out.push_back(1);  // EV_CURRENT
@@ -85,13 +89,14 @@ std::vector<uint8_t> Write(const ElfImage& image) {
     Put64(&out, 16384);             // p_align
     offset += seg.data.size();
   }
+  // One memcpy per segment into the reserved tail.
   for (const auto& seg : image.segments) {
     out.insert(out.end(), seg.data.begin(), seg.data.end());
   }
   return out;
 }
 
-Result<ElfImage> Read(std::span<const uint8_t> bytes) {
+Result<ElfView> ReadView(std::span<const uint8_t> bytes) {
   if (bytes.size() < kEhdrSize) return Error{"elf: truncated header"};
   if (std::memcmp(bytes.data(), kMagic, 4) != 0) {
     return Error{"elf: bad magic"};
@@ -102,8 +107,8 @@ Result<ElfImage> Read(std::span<const uint8_t> bytes) {
   if (Get16(bytes, 18) != kMachineAarch64) {
     return Error{"elf: not an aarch64 executable"};
   }
-  ElfImage img;
-  img.entry = Get64(bytes, 24);
+  ElfView view;
+  view.entry = Get64(bytes, 24);
   const uint64_t phoff = Get64(bytes, 32);
   const uint16_t phentsize = Get16(bytes, 54);
   const uint16_t phnum = Get16(bytes, 56);
@@ -115,7 +120,7 @@ Result<ElfImage> Read(std::span<const uint8_t> bytes) {
       return Error{"elf: program header out of bounds"};
     }
     if (Get32(bytes, off) != kPtLoad) continue;
-    Segment seg;
+    SegmentView seg;
     const uint32_t flags = Get32(bytes, off + 4);
     seg.read = flags & kPfR;
     seg.write = flags & kPfW;
@@ -131,11 +136,34 @@ Result<ElfImage> Read(std::span<const uint8_t> bytes) {
     if (seg.memsz > (uint64_t{1} << 32)) {
       return Error{"elf: segment larger than a sandbox"};
     }
-    seg.data.assign(bytes.begin() + static_cast<ptrdiff_t>(foff),
-                    bytes.begin() + static_cast<ptrdiff_t>(foff + filesz));
-    img.segments.push_back(std::move(seg));
+    seg.data = bytes.subspan(foff, filesz);
+    view.segments.push_back(seg);
+  }
+  return view;
+}
+
+Result<ElfImage> Read(std::span<const uint8_t> bytes) {
+  auto view = ReadView(bytes);
+  if (!view) return Error{view.error()};
+  ElfImage img;
+  img.entry = view->entry;
+  img.segments.reserve(view->segments.size());
+  for (const SegmentView& v : view->segments) {
+    img.segments.push_back({v.vaddr, {v.data.begin(), v.data.end()}, v.memsz,
+                            v.read, v.write, v.exec});
   }
   return img;
+}
+
+ElfView ViewOf(const ElfImage& image) {
+  ElfView view;
+  view.entry = image.entry;
+  view.segments.reserve(image.segments.size());
+  for (const Segment& s : image.segments) {
+    view.segments.push_back({s.vaddr, s.data, s.memsz, s.read, s.write,
+                             s.exec});
+  }
+  return view;
 }
 
 ElfImage FromAssembled(const asmtext::Image& a) {

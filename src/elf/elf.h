@@ -30,12 +30,34 @@ struct ElfImage {
   std::vector<Segment> segments;
 };
 
+// One loadable segment as a view over bytes owned elsewhere: the ELF
+// file it was parsed from, or an ElfImage's segment.
+struct SegmentView {
+  uint64_t vaddr = 0;
+  std::span<const uint8_t> data;  // file contents
+  uint64_t memsz = 0;             // >= data.size()
+  bool read = true, write = false, exec = false;
+};
+
+// An executable as segment views; valid while the viewed bytes live.
+struct ElfView {
+  uint64_t entry = 0;
+  std::vector<SegmentView> segments;
+};
+
 // Serializes an image to ELF64 bytes.
 std::vector<uint8_t> Write(const ElfImage& image);
 
-// Parses an ELF64 executable. Untrusted input: every offset is
+// Parses an ELF64 executable's program headers into views over `bytes`,
+// copying no segment data. Untrusted input: every offset is
 // bounds-checked; never throws.
+Result<ElfView> ReadView(std::span<const uint8_t> bytes);
+
+// ReadView, then copies each segment into an owning image.
 Result<ElfImage> Read(std::span<const uint8_t> bytes);
+
+// Views of `image`'s segments.
+ElfView ViewOf(const ElfImage& image);
 
 // Converts an assembled program into loadable segments: text (R+X),
 // rodata (R), data (RW), bss (RW, zero-filled).

@@ -1,5 +1,6 @@
 #include "rewriter/rewriter.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <unordered_map>
@@ -163,7 +164,9 @@ class RewriterImpl {
   void Emit(Inst i) {
     out_.stmts.push_back(AsmStmt::OfInst(i));
   }
-  void EmitStmt(AsmStmt s) { out_.stmts.push_back(std::move(s)); }
+  // Pass-through statements come from the const input: one copy each,
+  // straight into the reserved output.
+  void EmitStmt(const AsmStmt& s) { out_.stmts.push_back(s); }
   void EmitGuard(Reg dst, Reg src) {
     Emit(MakeGuard(dst, src));
     if (stats_) ++stats_->guards_inserted;
@@ -683,6 +686,14 @@ void RewriterImpl::FixShortBranches() {
   // over-distance test-branches into an inverted-skip + unconditional
   // branch pair. Iterate to a fixpoint since rewriting grows code.
   constexpr int64_t kLimit = 30000;  // margin below the 32764-byte reach
+  auto is_test_branch = [](const AsmStmt& s) {
+    return s.kind == AsmStmt::Kind::kInst &&
+           (s.inst.mn == Mn::kTbz || s.inst.mn == Mn::kTbnz) &&
+           !s.target.empty();
+  };
+  if (std::none_of(out_.stmts.begin(), out_.stmts.end(), is_test_branch)) {
+    return;
+  }
   bool changed = true;
   while (changed) {
     changed = false;
@@ -702,9 +713,7 @@ void RewriterImpl::FixShortBranches() {
     next.stmts.reserve(out_.stmts.size());
     addr = 0;
     for (auto& s : out_.stmts) {
-      if (s.kind == AsmStmt::Kind::kInst &&
-          (s.inst.mn == Mn::kTbz || s.inst.mn == Mn::kTbnz) &&
-          !s.target.empty()) {
+      if (is_test_branch(s)) {
         auto it = labels.find(s.target);
         const int64_t dist =
             it == labels.end() ? 0 : it->second - addr;

@@ -134,18 +134,21 @@ void Runtime::FreeSlot(Proc* p) {
 }
 
 Result<int> Runtime::Load(std::span<const uint8_t> elf_bytes) {
-  auto image = elf::Read(elf_bytes);
-  if (!image) return Error{image.error()};
-  return LoadImage(*image);
+  auto view = elf::ReadView(elf_bytes);
+  if (!view) return Error{view.error()};
+  return LoadView(*view);
 }
 
 Result<int> Runtime::LoadImage(const elf::ElfImage& image) {
+  return LoadView(elf::ViewOf(image));
+}
+
+Result<int> Runtime::LoadView(const elf::ElfView& image) {
   // Verify every executable segment before anything is mapped.
   if (cfg_.enforce_verification) {
     for (const auto& seg : image.segments) {
       if (!seg.exec) continue;
-      auto res = verifier::Verify({seg.data.data(), seg.data.size()},
-                                  cfg_.verify, &verify_stats_);
+      auto res = verifier::Verify(seg.data, cfg_.verify, &verify_stats_);
       if (!res.ok) {
         std::string err = "verification failed (" +
                           std::string(verifier::FailKindName(res.kind)) +
@@ -171,7 +174,7 @@ Result<int> Runtime::LoadImage(const elf::ElfImage& image) {
 }
 
 Result<std::shared_ptr<const snapshot::Snapshot>> Runtime::LoadSnapshot(
-    const elf::ElfImage& image) const {
+    const elf::ElfView& image) const {
   auto snap = std::make_shared<snapshot::Snapshot>();
   auto& maps = snap->mappings;
   // Call table page at the very base, stack at the top of the usable area.
@@ -179,7 +182,7 @@ Result<std::shared_ptr<const snapshot::Snapshot>> Runtime::LoadSnapshot(
   maps[kProgramEnd - kStackSize] = {kStackSize, kPermRead | kPermWrite};
 
   // Segments, keyed like their mappings, so pages can find their bytes.
-  std::map<uint64_t, const elf::Segment*> seg_at;
+  std::map<uint64_t, const elf::SegmentView*> seg_at;
   uint64_t max_data_end = kProgramStart;
   for (const auto& seg : image.segments) {
     const uint64_t start = seg.vaddr;
@@ -214,16 +217,22 @@ Result<std::shared_ptr<const snapshot::Snapshot>> Runtime::LoadSnapshot(
   // runtime's zero page (the on-disk format elides those anyway).
   for (const auto& [off, range] : maps) {
     const auto it = seg_at.find(off);
-    const elf::Segment* seg = it == seg_at.end() ? nullptr : it->second;
+    const elf::SegmentView* seg =
+        it == seg_at.end() ? nullptr : it->second;
     for (uint64_t po = off; po < off + range.first; po += kPage) {
       auto data = off == 0 ? call_table_page_ : zero_page_;
       if (seg != nullptr) {
         const uint64_t lo = std::max(po, seg->vaddr);
         const uint64_t hi = std::min(po + kPage, seg->vaddr + seg->data.size());
         if (lo < hi) {
-          data = std::make_shared<emu::AddressSpace::PageData>();
-          std::memcpy(data->data() + (lo - po),
-                      seg->data.data() + (lo - seg->vaddr), hi - lo);
+          // Each payload byte is written once: file bytes, then zeros
+          // around them on a segment's first and last page.
+          data = std::make_shared_for_overwrite<emu::AddressSpace::PageData>();
+          uint8_t* page = data->data();
+          std::memset(page, 0, lo - po);
+          std::memcpy(page + (lo - po), seg->data.data() + (lo - seg->vaddr),
+                      hi - lo);
+          std::memset(page + (hi - po), 0, po + kPage - hi);
         }
       }
       snap->pages.push_back({po, range.second, std::move(data)});

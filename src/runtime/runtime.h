@@ -401,8 +401,12 @@ class Runtime {
   // sandboxes get the default policy and fds rehydrated from the records.
   // ApplySnapshot copies mappings, heap/mmap cursors, rebased registers
   // and signal state into p (pages and fds are the caller's).
+  // Load and LoadImage both land in LoadView over segment views (of the
+  // caller's ELF bytes, or of the image), which verifies and instantiates
+  // without copying any segment first.
+  Result<int> LoadView(const elf::ElfView& image);
   Result<std::shared_ptr<const snapshot::Snapshot>> LoadSnapshot(
-      const elf::ElfImage& image) const;
+      const elf::ElfView& image) const;
   Result<Proc*> Instantiate(std::shared_ptr<const snapshot::Snapshot> snap,
                             const Proc* parent);
   void ApplySnapshot(Proc* p, const snapshot::Snapshot& snap);

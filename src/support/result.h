@@ -34,6 +34,7 @@ class Result {
   T&& value() && { assert(ok()); return *std::move(value_); }
   const T& operator*() const& { return value(); }
   T& operator*() & { return value(); }
+  T&& operator*() && { return std::move(*this).value(); }
   const T* operator->() const { return &value(); }
   T* operator->() { return &value(); }
 

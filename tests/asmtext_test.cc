@@ -208,6 +208,129 @@ buf:
   EXPECT_GE(dirs, 7);
 }
 
+// ----- Tokenizer edge cases: case folding, aliases, operand shapes -----
+
+TEST(Parser, CaseInsensitiveMnemonicsRegistersAndConditions) {
+  auto ldr = MustParse("LDR X0, [SP]");
+  EXPECT_EQ(ldr.mn, Mn::kLdr);
+  EXPECT_EQ(ldr.rt, Reg::X(0));
+  EXPECT_EQ(ldr.width, Width::kX);
+  EXPECT_TRUE(ldr.mem.base.IsSp());
+  EXPECT_EQ(ldr.mem.mode, AddrMode::kImm);
+  auto g = MustParse("Add X18, x21, W7, UXTW");
+  EXPECT_EQ(g.mn, Mn::kAddExt);
+  EXPECT_EQ(g.ext, Extend::kUxtw);
+  EXPECT_EQ(g.rm, Reg::X(7));
+  auto sh = MustParse("SUB w2, W3, w4, LSL #2");
+  EXPECT_EQ(sh.mn, Mn::kSubReg);
+  EXPECT_EQ(sh.width, Width::kW);
+  EXPECT_EQ(sh.shift_amount, 2);
+  auto csel = MustParse("CSel x0, X1, x2, Ge");
+  EXPECT_EQ(csel.mn, Mn::kCsel);
+  EXPECT_EQ(csel.cond, Cond::kGe);
+  auto fp = MustParse("FADD V0.4S, v1.4s, V2.4s");
+  EXPECT_EQ(fp.mn, Mn::kVFadd);
+  auto bhs = ParseInst("b.HS out");
+  ASSERT_TRUE(bhs.ok()) << bhs.error();
+  EXPECT_EQ(bhs->inst.cond, Cond::kHs);
+  EXPECT_EQ(bhs->target, "out");
+  // Symbols keep their case.
+  auto bl = ParseInst("BL Mixed_Case.Sym");
+  ASSERT_TRUE(bl.ok()) << bl.error();
+  EXPECT_EQ(bl->inst.mn, Mn::kBl);
+  EXPECT_EQ(bl->target, "Mixed_Case.Sym");
+}
+
+TEST(Parser, CarryConditionAliases) {
+  auto cs = ParseInst("b.cs a");
+  ASSERT_TRUE(cs.ok()) << cs.error();
+  EXPECT_EQ(cs->inst.cond, Cond::kHs);
+  auto cc = ParseInst("b.cc a");
+  ASSERT_TRUE(cc.ok()) << cc.error();
+  EXPECT_EQ(cc->inst.cond, Cond::kLo);
+  EXPECT_EQ(MustParse("csel x0, x1, x2, cs").cond, Cond::kHs);
+  EXPECT_EQ(MustParse("csinc w0, w1, w2, CC").cond, Cond::kLo);
+  // cset inverts its condition.
+  EXPECT_EQ(MustParse("cset w0, cs").cond, Cond::kLo);
+  EXPECT_EQ(MustParse("ccmp x0, #3, #4, cc").cond, Cond::kLo);
+}
+
+TEST(Parser, PostPreIndexAndExtendedRegisterOffsets) {
+  auto post = MustParse("ldr x1, [x0], #8");
+  EXPECT_EQ(post.mem.mode, AddrMode::kPostIndex);
+  EXPECT_EQ(post.mem.base, Reg::X(0));
+  EXPECT_EQ(post.mem.imm, 8);
+  auto pre = MustParse("str x1, [x0, #-16]!");
+  EXPECT_EQ(pre.mem.mode, AddrMode::kPreIndex);
+  EXPECT_EQ(pre.mem.imm, -16);
+  auto sxtw = MustParse("ldr w3, [x1, w2, sxtw #2]");
+  EXPECT_EQ(sxtw.mem.mode, AddrMode::kRegSxtw);
+  EXPECT_EQ(sxtw.mem.base, Reg::X(1));
+  EXPECT_EQ(sxtw.mem.index, Reg::X(2));
+  EXPECT_EQ(sxtw.mem.shift, 2);
+  EXPECT_EQ(sxtw.msize, 4);
+}
+
+TEST(Parser, Lo12Relocation) {
+  auto s = ParseInst("add x0, x0, :lo12:msg");
+  ASSERT_TRUE(s.ok()) << s.error();
+  EXPECT_EQ(s->inst.mn, Mn::kAddImm);
+  EXPECT_EQ(s->reloc, Reloc::kLo12);
+  EXPECT_EQ(s->target, "msg");
+}
+
+TEST(Parser, LabelsCommentsAndQuadSymbols) {
+  auto f = Parse(
+      "// leading comment\n"
+      "a: b:c: nop // trailing comment\n"
+      "  // indented comment\n"
+      "d:\n"
+      ".data\n"
+      "t: .quad sym, 5, other\n");
+  ASSERT_TRUE(f.ok()) << f.error();
+  const auto& st = f->stmts;
+  ASSERT_EQ(st.size(), 8u);
+  const char* kLabels[] = {"a", "b", "c"};
+  for (int k = 0; k < 3; ++k) {
+    EXPECT_EQ(st[k].kind, AsmStmt::Kind::kLabel);
+    EXPECT_EQ(st[k].label, kLabels[k]);
+    EXPECT_EQ(st[k].line, 2);
+  }
+  EXPECT_EQ(st[3].kind, AsmStmt::Kind::kInst);
+  EXPECT_EQ(st[3].inst.mn, Mn::kNop);
+  EXPECT_EQ(st[3].line, 2);
+  EXPECT_EQ(st[4].label, "d");
+  EXPECT_EQ(st[4].line, 4);
+  EXPECT_EQ(st[5].dir.kind, Directive::Kind::kSection);
+  EXPECT_EQ(st[5].dir.section, Section::kData);
+  EXPECT_EQ(st[6].label, "t");
+  const Directive& q = st[7].dir;
+  EXPECT_EQ(q.kind, Directive::Kind::kQuad);
+  EXPECT_EQ(q.values, (std::vector<int64_t>{0, 5, 0}));
+  EXPECT_EQ(q.syms, (std::vector<std::string>{"sym", "", "other"}));
+  EXPECT_EQ(st[7].line, 6);
+}
+
+TEST(Parser, ErrorTextNamesTheLine) {
+  struct Case {
+    const char* src;
+    const char* error;
+  };
+  const Case kCases[] = {
+      {"nop\nFROBNICATE X0, x1\n",
+       "line 2: unknown mnemonic: frobnicate in `FROBNICATE X0, x1`"},
+      {".text\n\n  ldr x0, [x99] // base\n",
+       "line 3: bad base register: x99 in `ldr x0, [x99]`"},
+      {"add x0, x1, #zz\n", "line 1: bad immediate: #zz in `add x0, x1, #zz`"},
+      {".data\nv: .zero -4\n", "line 2: bad .zero size"},
+  };
+  for (const Case& c : kCases) {
+    auto f = Parse(c.src);
+    ASSERT_FALSE(f.ok()) << c.src;
+    EXPECT_EQ(f.error(), c.error);
+  }
+}
+
 TEST(Printer, RoundTripsThroughParser) {
   const std::vector<std::string> lines = {
       "add x0, x1, #16",

@@ -338,9 +338,17 @@ std::string RandomProgram(uint64_t seed, int len) {
       case 10: src += std::string("str ") + reg() + ", [" + reg() +
                       ", #-16]!\n"; break;
       case 11: {
-        std::string l = "l" + std::to_string(label++);
-        src += std::string("cbz ") + reg() + ", " + l + "\n" +
-               "add x0, x0, #1\n" + l + ":\n";
+        // Appended piece by piece: `"l" + std::to_string(...)` draws a
+        // spurious GCC 12 -Wrestrict warning once inlined here.
+        std::string l = "l";
+        l += std::to_string(label++);
+        src += "cbz ";
+        src += reg();
+        src += ", ";
+        src += l;
+        src += "\nadd x0, x0, #1\n";
+        src += l;
+        src += ":\n";
         break;
       }
       case 12: src += std::string("br ") + reg() + "\n"; break;
