@@ -36,11 +36,6 @@ constexpr uint64_t kBackendScale = 4000000;
 // retries.
 constexpr int kBackendAttempts = 3;
 
-double Median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
-
 // `gate_vs_step` applies the chained/step gate; it is asserted on the
 // primary (apple-m1) core only, matching bench_emu_dispatch — the other
 // core model's cache parameters shift the timing-model/dispatch work mix,

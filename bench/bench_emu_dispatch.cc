@@ -63,11 +63,6 @@ constexpr double kMinChainedVsBlock = 1.1;
 // retries.
 constexpr int kGateAttempts = 3;
 
-double Median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
-
 struct Sample {
   Outcome out;
   double minsts_per_sec = 0.0;

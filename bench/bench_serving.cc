@@ -20,12 +20,21 @@
 // every number here is exact and machine-independent; the same seed
 // replays byte-identically (self-gated below, and soaked in CI).
 //
+// The warm path in steady state, as a long-running server sees it: after
+// a warm-up session on one stack, `serving.warm.block_misses_per_request
+// .exact` counts the emulator's block-cache misses (decoded blocks) per
+// request of the next session from trace-sink counters (exact, gated),
+// and `serving.warm.host_ns_per_request` is the MEASURED median host wall
+// time per request over further sessions (report-only).
+//
 // Gates: warm throughput >= 5x cold at equal offered load; byte-identical
 // same-seed replay (warm and storm); storm exercises the dead-parked
 // purge without any bystander-tenant SLO violation.
 
+#include <chrono>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "chaos/chaos.h"
 #include "harness.h"
@@ -124,6 +133,57 @@ void AddLatencies(JsonReport* report, const std::string& prefix,
               static_cast<double>(rep.makespan()));
   report->Add(prefix + ".throughput_per_mcycle", rep.ThroughputPerMcycle());
   report->Add(prefix + ".completed", static_cast<double>(rep.completed));
+}
+
+// Warm serving after warm-up (see the file comment).
+struct WarmSteady {
+  double block_misses_per_request = 0;
+  double host_ns_per_request = 0;
+};
+
+WarmSteady MeasureWarmSteady(const Built& b, uint64_t seed,
+                             std::string* error) {
+  constexpr uint64_t kSessionRequests = 200;
+  constexpr int kTimedSessions = 9;
+  Stack s(b);
+  if (s.pool == nullptr) {
+    *error = s.error;
+    return {};
+  }
+  auto session = [&](uint64_t k) {
+    Server srv(&s.rt, BaseConfig(TrafficKind::kPoisson, seed + k,
+                                 kSessionRequests),
+               s.pool.get());
+    return srv.Run().completed;
+  };
+  (void)session(0);  // warm-up: fills the pool and the block cache
+
+  lfi::trace::TraceSink sink;
+  s.rt.set_trace_sink(&sink);
+  const uint64_t counted = session(1);
+  s.rt.set_trace_sink(nullptr);
+  uint64_t misses = 0;
+  for (const auto& [pid, m] : sink.all_metrics()) {
+    misses += m.Get(lfi::trace::Counter::kBlockCacheMisses);
+  }
+
+  std::vector<double> ns_per_request;
+  for (int k = 0; k < kTimedSessions; ++k) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const uint64_t done = session(2 + k);
+    const double ns = NsSince(t0);
+    if (done == 0) {
+      *error = "timed session completed nothing";
+      return {};
+    }
+    ns_per_request.push_back(ns / static_cast<double>(done));
+  }
+  if (counted == 0) {
+    *error = "counted session completed nothing";
+    return {};
+  }
+  return {static_cast<double>(misses) / static_cast<double>(counted),
+          Median(ns_per_request)};
 }
 
 // Storm-while-serving with parked sandboxes killed behind the pool's
@@ -282,6 +342,15 @@ int main(int argc, char** argv) {
   (void)run_warm(&replay_transcript);
   const bool warm_deterministic = replay_transcript == warm_transcript;
 
+  // ---- Warm path in steady state ------------------------------------------
+  std::string steady_err;
+  const WarmSteady steady = MeasureWarmSteady(b, kSeed + 5, &steady_err);
+  if (!steady_err.empty()) {
+    std::fprintf(stderr, "error: warm steady state: %s\n",
+                 steady_err.c_str());
+    return 1;
+  }
+
   // ---- Storm chaos while serving -----------------------------------------
   std::string storm_err;
   const ServeReport storm = RunStorm(b, kSeed + 1, 4242, &storm_err);
@@ -365,6 +434,9 @@ int main(int argc, char** argv) {
               (unsigned long long)cold.LatencyPercentile(99.9),
               (unsigned long long)cold.completed);
   std::printf("warm/cold throughput: %.1fx (gate >= 5x)\n", speedup);
+  std::printf("warm steady state: %.2f block-cache misses/request, "
+              "%.0f host ns/request (measured)\n",
+              steady.block_misses_per_request, steady.host_ns_per_request);
   std::printf("storm: dead_parked=%llu cold_spawns=%llu victims "
               "disrupted=%llu bystander failed=%llu slo_viol=%llu\n",
               (unsigned long long)storm.dead_parked,
@@ -394,6 +466,9 @@ int main(int argc, char** argv) {
   AddLatencies(&report, "serving.cold", cold);
   report.Add("serving.warm_vs_cold.speedup", speedup);
   report.Add("serving.warm.recycles", static_cast<double>(warm.recycles));
+  report.Add("serving.warm.block_misses_per_request.exact",
+             steady.block_misses_per_request);
+  report.Add("serving.warm.host_ns_per_request", steady.host_ns_per_request);
   report.Add("serving.storm.dead_parked",
              static_cast<double>(storm.dead_parked));
   report.Add("serving.storm.bystander_failed",

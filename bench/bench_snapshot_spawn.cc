@@ -17,8 +17,13 @@
 // (of FromAssembled) and Runtime::Load (ELF read, verify, snapshot build,
 // page install) over kColdReps repetitions, reported as
 // `snapshot.elf-load.{parse,assemble,elf-write}.host_ns` and
-// `snapshot.elf-load.host_ns`. They depend on the host, so they are
-// report-only: only `.cycles`/`.bytes`/`.exact` metrics gate.
+// `snapshot.elf-load.host_ns`. The restore and recycle of a spawned
+// sandbox that dirtied one data page are measured the same way (median of
+// kWarmReps): `snapshot.restart-restore.host_ns` (RestoreFromSnapshot, the
+// twin of `snapshot.restart-restore.cycles`) and `snapshot.recycle.host_ns`
+// (Runtime::Recycle, the serving pool's per-request reset). Host figures
+// depend on the host, so they are report-only: only
+// `.cycles`/`.bytes`/`.exact` metrics gate.
 //
 // Gates (checked here and in BENCH_BASELINE.json): snapshot spawn >= 10x
 // cheaper than ELF load; snapshot restart >= 5x cheaper than ELF load.
@@ -31,6 +36,9 @@ namespace lfi::bench {
 namespace {
 
 constexpr int kColdReps = 31;
+constexpr int kWarmReps = 101;
+
+using Clock = std::chrono::steady_clock;
 
 // Hand-guarded build (the guard-region fault must survive to execution).
 Built BuildRaw(const std::string& src) {
@@ -80,42 +88,69 @@ struct ColdBuildNs {
 
 Result<ColdBuildNs> MeasureColdBuild(const std::string& src,
                                      const runtime::RuntimeConfig& cfg) {
-  using Clock = std::chrono::steady_clock;
-  auto ns = [](Clock::time_point t0) {
-    return std::chrono::duration<double, std::nano>(Clock::now() - t0)
-        .count();
-  };
   // One long-lived runtime takes every load, as a cold-serving host's does.
   runtime::Runtime rt(cfg);
   std::vector<double> parse, assemble, elf_write, load;
   for (int rep = 0; rep < kColdReps; ++rep) {
     auto t = Clock::now();
     auto file = asmtext::Parse(src);
-    parse.push_back(ns(t));
+    parse.push_back(NsSince(t));
     if (!file) return Error{file.error()};
 
     asmtext::LayoutSpec spec;
     spec.text_offset = runtime::kProgramStart;
     t = Clock::now();
     auto img = asmtext::Assemble(*file, spec);
-    assemble.push_back(ns(t));
+    assemble.push_back(NsSince(t));
     if (!img) return Error{img.error()};
 
     t = Clock::now();
     const std::vector<uint8_t> bytes = elf::Write(elf::FromAssembled(*img));
-    elf_write.push_back(ns(t));
+    elf_write.push_back(NsSince(t));
 
     t = Clock::now();
     auto pid = rt.Load({bytes.data(), bytes.size()});
-    load.push_back(ns(t));
+    load.push_back(NsSince(t));
     if (!pid) return Error{pid.error()};
   }
-  auto median = [](std::vector<double> v) {
-    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
-    return v[v.size() / 2];
-  };
-  return ColdBuildNs{median(parse), median(assemble), median(elf_write),
-                     median(load)};
+  return ColdBuildNs{Median(parse), Median(assemble), Median(elf_write),
+                     Median(load)};
+}
+
+// Median host wall time, in ns, of restoring and of recycling a parked
+// sandbox spawned from `snap` after it dirtied one data page.
+struct WarmResetNs {
+  double restore = 0, recycle = 0;
+};
+
+Result<WarmResetNs> MeasureWarmReset(
+    runtime::Runtime& rt, std::shared_ptr<const snapshot::Snapshot> snap) {
+  auto pid = rt.SpawnFromSnapshot(snap, /*start=*/false);
+  if (!pid) return Error{pid.error()};
+  const runtime::Proc* p = rt.proc(*pid);
+  uint64_t data_off = 0;  // the first writable mapping: the data page
+  for (const auto& [off, range] : p->mappings) {
+    if ((range.second & emu::kPermWrite) != 0) {
+      data_off = off;
+      break;
+    }
+  }
+  std::vector<double> restore, recycle;
+  for (int rep = 0; rep < 2 * kWarmReps; ++rep) {
+    const uint8_t v = static_cast<uint8_t>(rep + 1);
+    if (!rt.space().HostWrite(p->base + data_off, {&v, 1}).ok()) {
+      return Error{"dirtying the data page failed"};
+    }
+    auto t = Clock::now();
+    const Status st = rep % 2 == 0 ? rt.RestoreFromSnapshot(*pid, *snap)
+                                   : rt.Recycle(*pid);
+    (rep % 2 == 0 ? restore : recycle).push_back(NsSince(t));
+    if (!st.ok()) return Error{st.error()};
+    if (rt.last_instantiation().dirty_pages != 1) {
+      return Error{"a reset restored other than the one dirty page"};
+    }
+  }
+  return WarmResetNs{Median(restore), Median(recycle)};
 }
 
 // Runs the service program under the restart policy until `budget`
@@ -190,6 +225,13 @@ int main(int argc, char** argv) {
   const double restore_cycles = static_cast<double>(*restore);
   const double restart_speedup = load_cycles / restore_cycles;
 
+  // ---- Warm resets on the host clock (measured, report-only) -------------
+  const auto warm = MeasureWarmReset(rt, snap);
+  if (!warm.ok()) {
+    std::fprintf(stderr, "error: warm reset: %s\n", warm.error().c_str());
+    return 1;
+  }
+
   // ---- Cold build on the host clock (measured, report-only) --------------
   const auto cold = MeasureColdBuild(ServiceProg(), cfg);
   if (!cold.ok()) {
@@ -214,6 +256,11 @@ int main(int argc, char** argv) {
   std::printf("%-18s %12.0f ns\n", "elf-write", cold->elf_write);
   std::printf("%-18s %12.0f ns\n", "Runtime::Load", cold->load);
 
+  std::printf("\nWarm reset after one dirtied page (measured host time, "
+              "median of %d)\n", kWarmReps);
+  std::printf("%-18s %12.0f ns\n", "restore", warm->restore);
+  std::printf("%-18s %12.0f ns\n", "recycle", warm->recycle);
+
   report.Add("snapshot.elf-load.cycles", load_cycles);
   report.Add("snapshot.elf-load.parse.host_ns", cold->parse);
   report.Add("snapshot.elf-load.assemble.host_ns", cold->assemble);
@@ -222,6 +269,8 @@ int main(int argc, char** argv) {
   report.Add("snapshot.spawn.cycles", spawn_cycles);
   report.Add("snapshot.spawn.speedup", spawn_speedup);
   report.Add("snapshot.restart-restore.cycles", restore_cycles);
+  report.Add("snapshot.restart-restore.host_ns", warm->restore);
+  report.Add("snapshot.recycle.host_ns", warm->recycle);
   report.Add("snapshot.restart.speedup", restart_speedup);
   if (!report.Write()) return 1;
 

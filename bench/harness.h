@@ -7,6 +7,7 @@
 #ifndef LFI_BENCH_HARNESS_H_
 #define LFI_BENCH_HARNESS_H_
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -26,6 +27,19 @@
 #include "workloads/workloads.h"
 
 namespace lfi::bench {
+
+// Host wall time since `t0`, in ns (the report-only `*.host_ns` metrics).
+inline double NsSince(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::nano>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+// The middle element of `v` (the upper middle one for an even count).
+inline double Median(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
+}
 
 // A built sandbox executable plus size accounting for Section 6.3.
 struct Built {

@@ -43,7 +43,7 @@ uint64_t Get64(std::span<const uint8_t> b, size_t off) {
 
 }  // namespace
 
-std::vector<uint8_t> Write(const ElfImage& image) {
+std::vector<uint8_t> Write(const ElfView& image) {
   const size_t phnum = image.segments.size();
   const size_t header_bytes = kEhdrSize + phnum * kPhdrSize;
   size_t file_bytes = header_bytes;
@@ -94,6 +94,10 @@ std::vector<uint8_t> Write(const ElfImage& image) {
     out.insert(out.end(), seg.data.begin(), seg.data.end());
   }
   return out;
+}
+
+std::vector<uint8_t> Write(const ElfImage& image) {
+  return Write(ViewOf(image));
 }
 
 Result<ElfView> ReadView(std::span<const uint8_t> bytes) {
@@ -166,8 +170,8 @@ ElfView ViewOf(const ElfImage& image) {
   return view;
 }
 
-ElfImage FromAssembled(const asmtext::Image& a) {
-  ElfImage img;
+ElfView FromAssembled(const asmtext::Image& a) {
+  ElfView img;
   img.entry = a.entry;
   if (!a.text.empty()) {
     img.segments.push_back(
@@ -178,7 +182,7 @@ ElfImage FromAssembled(const asmtext::Image& a) {
         {a.rodata_addr, a.rodata, a.rodata.size(), true, false, false});
   }
   if (!a.data.empty() || a.bss_size > 0) {
-    Segment d;
+    SegmentView d;
     d.vaddr = a.data.empty() ? a.bss_addr : a.data_addr;
     d.data = a.data;
     // data and bss are contiguous (bss_addr >= data end), so one RW
@@ -187,7 +191,7 @@ ElfImage FromAssembled(const asmtext::Image& a) {
     d.memsz = end > d.vaddr ? end - d.vaddr : d.data.size();
     if (d.memsz < d.data.size()) d.memsz = d.data.size();
     d.write = true;
-    img.segments.push_back(std::move(d));
+    img.segments.push_back(d);
   }
   return img;
 }

@@ -31,7 +31,8 @@ struct ElfImage {
 };
 
 // One loadable segment as a view over bytes owned elsewhere: the ELF
-// file it was parsed from, or an ElfImage's segment.
+// file it was parsed from, an ElfImage's segment, or an assembled
+// image's section.
 struct SegmentView {
   uint64_t vaddr = 0;
   std::span<const uint8_t> data;  // file contents
@@ -45,7 +46,9 @@ struct ElfView {
   std::vector<SegmentView> segments;
 };
 
-// Serializes an image to ELF64 bytes.
+// Serializes an image to ELF64 bytes. The ElfImage overload writes
+// ViewOf(image).
+std::vector<uint8_t> Write(const ElfView& image);
 std::vector<uint8_t> Write(const ElfImage& image);
 
 // Parses an ELF64 executable's program headers into views over `bytes`,
@@ -59,9 +62,12 @@ Result<ElfImage> Read(std::span<const uint8_t> bytes);
 // Views of `image`'s segments.
 ElfView ViewOf(const ElfImage& image);
 
-// Converts an assembled program into loadable segments: text (R+X),
-// rodata (R), data (RW), bss (RW, zero-filled).
-ElfImage FromAssembled(const asmtext::Image& img);
+// Views an assembled program as loadable segments: text (R+X), rodata
+// (R), data (RW), bss (RW, zero-filled). Copies no section bytes, so the
+// view is valid while `img` lives; `elf::Write(elf::FromAssembled(img))`
+// serializes straight from the sections.
+ElfView FromAssembled(const asmtext::Image& img);
+ElfView FromAssembled(const asmtext::Image&& img) = delete;
 
 }  // namespace lfi::elf
 

@@ -10,14 +10,22 @@ bool PageAligned(uint64_t v) { return (v & kPageMask) == 0; }
 // True if [addr, addr+len) wraps past 2^64 (a wrapping range would alias
 // low pages and defeat every downstream bounds check).
 bool RangeWraps(uint64_t addr, uint64_t len) { return addr + len < addr; }
+bool IsExec(uint8_t perms) { return (perms & kPermExec) != 0; }
+// Widens `code` to cover page `pageno`.
+void Cover(AddressSpace::CodeChange* code, uint64_t pageno) {
+  if (code->lo >= code->hi) {
+    *code = {pageno, pageno + 1};
+    return;
+  }
+  code->lo = std::min(code->lo, pageno);
+  code->hi = std::max(code->hi, pageno + 1);
+}
 }  // namespace
 
-void AddressSpace::NoteExec(uint64_t pageno, uint8_t perms) {
-  if (perms & kPermExec) {
-    exec_pages_.insert(pageno);
-  } else {
-    exec_pages_.erase(pageno);
-  }
+void AddressSpace::NoteCodeChange(const CodeChange& code) {
+  if (code.lo >= code.hi) return;
+  ++generation_;
+  code_changes_[generation_ % kCodeChangeRing] = code;
 }
 
 Status AddressSpace::Map(uint64_t addr, uint64_t len, uint8_t perms,
@@ -34,15 +42,19 @@ Status AddressSpace::Map(uint64_t addr, uint64_t len, uint8_t perms,
       }
     }
   }
+  CodeChange code;
   for (uint64_t p = addr / kPageSize; p < (addr + len) / kPageSize; ++p) {
     Page page;
     page.data = std::make_shared<PageData>();
     page.data->fill(0);
     page.perms = perms;
-    pages_[p] = std::move(page);
-    NoteExec(p, perms);
+    auto [it, fresh] = pages_.try_emplace(p);
+    if (IsExec(perms) || (!fresh && IsExec(it->second.perms))) {
+      Cover(&code, p);
+    }
+    it->second = std::move(page);
   }
-  ++generation_;
+  NoteCodeChange(code);
   ++payload_epoch_;
   return Status::Ok();
 }
@@ -54,14 +66,16 @@ Status AddressSpace::Unmap(uint64_t addr, uint64_t len) {
   if (len == 0) return Status::Ok();
   if (RangeWraps(addr, len)) return Status::Fail("unmap: range wraps");
   size_t erased = 0;
+  CodeChange code;
   for (uint64_t p = addr / kPageSize; p < (addr + len) / kPageSize; ++p) {
-    erased += pages_.erase(p);
-    exec_pages_.erase(p);
+    auto it = pages_.find(p);
+    if (it == pages_.end()) continue;
+    if (IsExec(it->second.perms)) Cover(&code, p);
+    pages_.erase(it);
+    ++erased;
   }
-  if (erased != 0) {
-    ++generation_;
-    ++payload_epoch_;
-  }
+  NoteCodeChange(code);
+  if (erased != 0) ++payload_epoch_;
   return Status::Ok();
 }
 
@@ -75,11 +89,13 @@ Status AddressSpace::Protect(uint64_t addr, uint64_t len, uint8_t perms) {
   for (uint64_t p = addr / kPageSize; p < (addr + len) / kPageSize; ++p) {
     if (pages_.count(p) == 0) return Status::Fail("protect: unmapped page");
   }
+  CodeChange code;
   for (uint64_t p = addr / kPageSize; p < (addr + len) / kPageSize; ++p) {
-    pages_[p].perms = perms;
-    NoteExec(p, perms);
+    Page& page = pages_[p];
+    if (IsExec(page.perms | perms)) Cover(&code, p);
+    page.perms = perms;
   }
-  ++generation_;
+  NoteCodeChange(code);
   ++payload_epoch_;
   return Status::Ok();
 }
@@ -162,13 +178,15 @@ Status AddressSpace::Write(uint64_t addr, uint64_t value, unsigned size) {
       last_fault_ = {MemFault::Kind::kPermission, Access::kWrite, addr};
       return Status::Fail("write fault");
     }
-    if (WriteTouchesExec(it->second.perms)) ++generation_;
+    if (IsExec(it->second.perms)) {
+      NoteCodeChange({addr / kPageSize, addr / kPageSize + 1});
+    }
     std::memcpy(WritablePage(&it->second) + (addr & kPageMask), &value,
                 size <= 8 ? size : 8);
     return Status::Ok();
   }
   // Check permissions on all touched pages before modifying anything.
-  bool exec_touched = false;
+  CodeChange code;
   for (unsigned k = 0; k < size; ++k) {
     const uint64_t a = addr + k;
     const Page* page = FindPage(a);
@@ -180,9 +198,9 @@ Status AddressSpace::Write(uint64_t addr, uint64_t value, unsigned size) {
       last_fault_ = {MemFault::Kind::kPermission, Access::kWrite, a};
       return Status::Fail("write fault");
     }
-    exec_touched = exec_touched || WriteTouchesExec(page->perms);
+    if (IsExec(page->perms)) Cover(&code, a / kPageSize);
   }
-  if (exec_touched) ++generation_;
+  NoteCodeChange(code);
   for (unsigned k = 0; k < size; ++k) {
     const uint64_t a = addr + k;
     Page* page = &pages_[a / kPageSize];
@@ -210,15 +228,14 @@ Result<uint32_t> AddressSpace::Fetch(uint64_t addr) const {
 }
 
 bool AddressSpace::HostRangeMapped(uint64_t addr, uint64_t len,
-                                   bool* exec) const {
-  if (exec != nullptr) *exec = false;
+                                   CodeChange* code) const {
   if (len == 0) return true;
   if (RangeWraps(addr, len)) return false;
   for (uint64_t p = addr / kPageSize; p <= (addr + len - 1) / kPageSize;
        ++p) {
     auto it = pages_.find(p);
     if (it == pages_.end()) return false;
-    if (exec != nullptr && WriteTouchesExec(it->second.perms)) *exec = true;
+    if (code != nullptr && IsExec(it->second.perms)) Cover(code, p);
   }
   return true;
 }
@@ -239,11 +256,11 @@ Status AddressSpace::HostRead(uint64_t addr, std::span<uint8_t> out) const {
 Status AddressSpace::HostWrite(uint64_t addr, std::span<const uint8_t> data) {
   // Validate the whole range first so a failure writes nothing (and so
   // the generation bump can never be skipped after exec bytes changed).
-  bool exec = false;
-  if (!HostRangeMapped(addr, data.size(), &exec)) {
+  CodeChange code;
+  if (!HostRangeMapped(addr, data.size(), &code)) {
     return Status::Fail("host write: unmapped");
   }
-  if (exec) ++generation_;
+  NoteCodeChange(code);
   for (size_t k = 0; k < data.size();) {
     const uint64_t off = (addr + k) & kPageMask;
     const size_t n = std::min<uint64_t>(data.size() - k, kPageSize - off);
@@ -271,9 +288,11 @@ Status AddressSpace::InstallPage(uint64_t addr,
   if (!PageAligned(addr)) return Status::Fail("install: unaligned page");
   if (data == nullptr) return Status::Fail("install: null payload");
   const uint64_t pageno = addr / kPageSize;
-  pages_[pageno] = Page{std::move(data), perms};
-  NoteExec(pageno, perms);
-  ++generation_;
+  auto [it, fresh] = pages_.try_emplace(pageno);
+  if (IsExec(perms) || (!fresh && IsExec(it->second.perms))) {
+    NoteCodeChange({pageno, pageno + 1});
+  }
+  it->second = Page{std::move(data), perms};
   ++payload_epoch_;
   return Status::Ok();
 }

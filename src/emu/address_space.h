@@ -7,13 +7,16 @@
 // paper's memfd-based approach.
 //
 // Mutation generation: every operation that can change what an instruction
-// fetch observes -- Map, Unmap, Protect, InstallPage, and any
-// guest/host write that lands on an executable page -- bumps a monotonically
-// increasing counter. The Machine's decoded-block cache is stamped with the
-// generation it was filled under and revalidates the stamp on every block
-// entry, so stale decoded code can never execute after a remap. Writes to
-// non-executable pages do not bump the counter (the common case stays
-// free): the exec-page set below makes that test one branch.
+// fetch observes bumps a monotonically increasing counter. That is a Map,
+// Unmap, Protect or InstallPage touching a page that is executable before
+// or after the change, and any guest/host write landing on an executable
+// page. Changes confined to non-executable pages (the data pages a
+// snapshot restore reinstalls, a heap grown by brk) leave it alone. Each
+// bump also records the page range it changed in a small ring, so the
+// Machine's decoded-block cache, stamped with the generation it was
+// filled under, drops only the code on those pages (and falls back to
+// dropping everything when it has fallen more than a ring behind). Stale
+// decoded code can never execute after a remap.
 #ifndef LFI_EMU_ADDRESS_SPACE_H_
 #define LFI_EMU_ADDRESS_SPACE_H_
 
@@ -22,7 +25,6 @@
 #include <memory>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "support/result.h"
 
@@ -148,9 +150,24 @@ class AddressSpace {
   size_t MappedPages() const { return pages_.size(); }
 
   // Monotonic counter of mutations that could invalidate decoded code
-  // (see the file comment). Consumers stamp their caches with this value
-  // and treat any change as "flush everything".
+  // (see the file comment). Consumers stamp their caches with this value;
+  // code_change() says what each bump touched.
   uint64_t mutation_generation() const { return generation_; }
+
+  // The page numbers [lo, hi) one generation bump may have changed code
+  // on (page number = address / kPageSize).
+  struct CodeChange {
+    uint64_t lo = 0, hi = 0;
+    bool Covers(uint64_t pageno) const { return pageno - lo < hi - lo; }
+  };
+  // How many of the most recent bumps code_change() remembers.
+  static constexpr uint64_t kCodeChangeRing = 64;
+  // The change that moved the generation to `gen`. Only meaningful for
+  // mutation_generation() - kCodeChangeRing < gen <= mutation_generation();
+  // a consumer further behind must assume everything changed.
+  const CodeChange& code_change(uint64_t gen) const {
+    return code_changes_[gen % kCodeChangeRing];
+  }
 
   // Monotonic counter of events that can invalidate a cached raw page
   // payload pointer: mapping/permission changes, payload replacement
@@ -187,29 +204,23 @@ class AddressSpace {
 
   const Page* FindPage(uint64_t addr) const;
   // True if every page of [addr, addr+len) is mapped (whatever its perms)
-  // and the range does not wrap; *exec (if given) tells whether a write
-  // there touches an executable page.
-  bool HostRangeMapped(uint64_t addr, uint64_t len, bool* exec) const;
+  // and the range does not wrap; *code (if given) receives the range's
+  // executable pages, which a write there changes code on.
+  bool HostRangeMapped(uint64_t addr, uint64_t len, CodeChange* code) const;
   // Returns a writable pointer to the page's data, copying if shared (a
   // copy replaces the payload pointer, so it bumps payload_epoch_).
   uint8_t* WritablePage(Page* page);
-  // Records pageno's executability and returns true if `perms` is exec.
-  void NoteExec(uint64_t pageno, uint8_t perms);
-  // True if a data write to a page with `perms` must bump the generation.
-  bool WriteTouchesExec(uint8_t perms) const {
-    return !exec_pages_.empty() && (perms & kPermExec) != 0;
-  }
+  // Bumps the generation and records `code` as what changed; a no-op for
+  // an empty range.
+  void NoteCodeChange(const CodeChange& code);
 
   mutable MemFault last_fault_;
   // Owned by the attaching Machine; the pointee is mutated from const
   // accessors (tracing is observation, not address-space state).
   AccessTrace* trace_ = nullptr;
   std::unordered_map<uint64_t, Page> pages_;  // keyed by addr / kPageSize
-  // Page numbers currently mapped executable. Lets the write fast path
-  // skip the generation bump entirely when no exec pages exist, and lets
-  // Protect detect exec transitions.
-  std::unordered_set<uint64_t> exec_pages_;
   uint64_t generation_ = 0;
+  std::array<CodeChange, kCodeChangeRing> code_changes_{};
   // See payload_epoch(). Mutable because a const operation (ExportPage)
   // changes sharing state: it doesn't alter this space's contents, but it
   // does invalidate cached rw pointers.

@@ -10,10 +10,12 @@
 //     path and installs a pointer link, after which a hot loop transfers
 //     block->block with two compares — no LUT probe, no hash. Links are
 //     trusted only while the mutation generation is unchanged (checked at
-//     every edge) and die with ClearCaches(); the cache_clears_ snapshot
-//     around link resolution keeps a clear inside FetchBlock from writing
-//     through a dangling predecessor. Chained entries tally block_hits
-//     exactly where the reference path's FetchBlock would have.
+//     every edge); a changed generation severs the links into changed
+//     pages and erases those pages' blocks (RevalidateCaches), and the
+//     cache_clears_ snapshot around link resolution keeps a drop inside
+//     FetchBlock from writing through a dangling predecessor. Chained
+//     entries tally block_hits exactly where the reference path's
+//     FetchBlock would have.
 //
 //  2. Direct-threaded inner loop. On GCC/Clang the per-instruction switch
 //     becomes a computed goto through a label table built from
@@ -217,9 +219,10 @@ StopReason Machine::RunChainedImpl(uint64_t max_instructions) {
         stop_ = StopReason::kStepLimit;  // step budget exhausted
         return stop_;
       }
-      // A changed generation means every cached block — and every link —
-      // is stale: bail to dispatch, whose FetchBlock revalidates (and
-      // counts the invalidation exactly as the reference path would).
+      // A changed generation means some cached blocks — and the links
+      // into them — are stale: bail to dispatch, whose FetchBlock
+      // revalidates (and counts the invalidation exactly as the reference
+      // path would).
       if (mem_->mutation_generation() != cache_generation_) break;
       if (state_.pc - rt_base_ < rt_len_) {
         stop_ = StopReason::kRuntimeEntry;
@@ -247,8 +250,8 @@ StopReason Machine::RunChainedImpl(uint64_t max_instructions) {
           stop_ = StopReason::kFault;
           return stop_;
         }
-        // Install the link only if no clear ran inside FetchBlock: a
-        // clear destroyed *b, taking the slot with it.
+        // Install the link only if no drop ran inside FetchBlock: a drop
+        // may have destroyed *b, taking the slot with it.
         if (cache_clears_ == clears) *slot = nxt;
       }
       b = nxt;

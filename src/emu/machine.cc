@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 
 #include "arch/decode.h"
@@ -60,6 +61,50 @@ void Machine::ClearCaches() {
   // exist; the bump tells an in-flight link resolution not to write into
   // a destroyed predecessor.
   ++cache_clears_;
+}
+
+void Machine::DropChangedCode(uint64_t gen) {
+  const bool first_fill = cache_generation_ == ~uint64_t{0};
+  // The very first fill (sentinel stamp) is no invalidation: nothing was
+  // cached yet.
+  if (counters_ != nullptr && !first_fill) ++counters_->block_invalidations;
+  if (first_fill || gen - cache_generation_ > AddressSpace::kCodeChangeRing) {
+    ClearCaches();
+    cache_generation_ = gen;
+    return;
+  }
+  auto on_changed_page = [&](uint64_t pc) {
+    for (uint64_t g = cache_generation_ + 1; g <= gen; ++g) {
+      if (mem_->code_change(g).Covers(pc / kPageSize)) return true;
+    }
+    return false;
+  };
+  // Blocks never cross a page, so a block is stale iff its start page
+  // changed; a surviving block's link is stale iff its target's is.
+  bool erased = false;
+  for (auto it = block_cache_.begin(); it != block_cache_.end();) {
+    if (on_changed_page(it->first)) {
+      BlockLutEntry& lut = block_lut_[LutIndex(it->first)];
+      if (lut.pc == it->first) lut = BlockLutEntry{};
+      it = block_cache_.erase(it);
+      erased = true;
+      continue;
+    }
+    const Block& b = it->second;
+    if (b.fall_link != nullptr && on_changed_page(b.fall_pc)) {
+      b.fall_link = nullptr;
+    }
+    if (b.branch_link != nullptr && on_changed_page(b.branch_pc)) {
+      b.branch_link = nullptr;
+    }
+    ++it;
+  }
+  for (auto it = decode_cache_.begin(); it != decode_cache_.end();) {
+    it = on_changed_page(it->first * kPageSize) ? decode_cache_.erase(it)
+                                                : std::next(it);
+  }
+  if (erased) ++cache_clears_;
+  cache_generation_ = gen;
 }
 
 // Legacy per-instruction fetch path (Dispatch::kStep). Executability is

@@ -15,9 +15,13 @@
 //
 // Invalidation contract: the block cache is stamped with
 // AddressSpace::mutation_generation(), which Map/Unmap/Protect/InstallPage
-// and any write landing on an executable page bump. A stamp mismatch at
-// block-entry drops every cached block, so executing stale code after a
-// remap is structurally impossible -- no caller cooperation needed. The
+// on an executable page and any write landing on one bump. A stamp
+// mismatch at block entry drops the cached blocks that start on the pages
+// changed since the stamp (AddressSpace::code_change) and severs every
+// chain link into them -- or drops everything when the stamp is more than
+// the change ring behind -- so executing stale code after a remap is
+// structurally impossible, with no caller cooperation needed, while the
+// code of untouched pages (other sandboxes) stays decoded. The
 // one window the generation cannot close is an instruction overwriting
 // *its own* basic block mid-flight; real hardware requires an ISB there,
 // and the runtime's W^X policy forbids it entirely.
@@ -250,7 +254,8 @@ class Machine {
   // fall_link/branch_link are lazily resolved pointers to the successor
   // blocks, installed by the chained backend so a hot loop transfers
   // block->block with two compares. Links point into block_cache_ nodes
-  // and die with them: every ClearCaches() severs all chains, and the
+  // and die with them: RevalidateCaches() nulls every link whose target
+  // PC lies on a changed page (ClearCaches() drops all blocks), and the
   // chained backend re-checks the mutation generation before following a
   // link, so a stale chain is never executed (see docs/DISPATCH.md).
   struct Block {
@@ -338,19 +343,13 @@ class Machine {
   // nullptr with fault_ set. Revalidates the generation stamp first.
   const Block* FetchBlock(uint64_t pc);
 
-  // Drops caches if the address space mutated since they were filled.
+  // Drops the decoded code of every page whose code changed since the
+  // caches were filled.
   void RevalidateCaches() {
     const uint64_t gen = mem_->mutation_generation();
-    if (gen != cache_generation_) {
-      // Don't count the very first fill (sentinel stamp) as an
-      // invalidation; nothing was dropped.
-      if (counters_ != nullptr && cache_generation_ != ~uint64_t{0}) {
-        ++counters_->block_invalidations;
-      }
-      ClearCaches();
-      cache_generation_ = gen;
-    }
+    if (gen != cache_generation_) DropChangedCode(gen);
   }
+  void DropChangedCode(uint64_t gen);
 
   void ClearCaches();
 
@@ -369,9 +368,10 @@ class Machine {
   // Generation stamp both caches were filled under; ~0 forces the first
   // RevalidateCaches() to start clean.
   uint64_t cache_generation_ = ~uint64_t{0};
-  // Counts ClearCaches() calls. The chained backend snapshots this around
-  // a FetchBlock during link resolution: if a clear happened, the
-  // predecessor block was destroyed and no link may be installed into it.
+  // Counts the cache drops that destroyed blocks (ClearCaches() and every
+  // DropChangedCode() that erased one). The chained backend snapshots
+  // this around a FetchBlock during link resolution: if a drop happened,
+  // the predecessor block may be gone and no link may be installed in it.
   uint64_t cache_clears_ = 0;
   std::unordered_map<uint64_t, Block> block_cache_;
   std::unordered_map<uint64_t, DecodedPage> decode_cache_;

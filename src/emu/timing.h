@@ -247,9 +247,14 @@ class Timing {
   void ChargeFlat(uint64_t cycles);
 
   // Directly marks a scoreboard entry ready at `cycle` (used for secondary
-  // destinations such as NZCV flags or the second register of ldp).
-  void SetReady(int idx, uint64_t cycle) { reg_ready_[idx] = cycle; }
-  void SetVReady(int idx, uint64_t cycle) { vreg_ready_[idx] = cycle; }
+  // destinations such as NZCV flags or the second register of ldp). idx -1
+  // (xzr, no register) is discarded, like a -1 `dst` above.
+  void SetReady(int idx, uint64_t cycle) {
+    if (idx >= 0) reg_ready_[idx] = cycle;
+  }
+  void SetVReady(int idx, uint64_t cycle) {
+    if (idx >= 0) vreg_ready_[idx] = cycle;
+  }
 
   // Total cycles consumed so far.
   uint64_t Cycles() const;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <unordered_set>
 
 #include "chaos/chaos.h"
 
@@ -67,6 +66,24 @@ std::shared_ptr<emu::AddressSpace::PageData> MakeCallTablePage() {
   return page;
 }
 
+// A snapshot's page records must each lie page-aligned inside the slot (a
+// page outside it would land in a neighbour's) and carry a payload, and
+// they must run in strictly ascending offset order, which is how capture
+// and LoadSnapshot emit them and what RestoreFromSnapshot's merge walk
+// relies on.
+Status CheckPageRecords(const std::vector<snapshot::PageRec>& pages) {
+  uint64_t next = 0;
+  for (const auto& rec : pages) {
+    if (rec.offset % kPage != 0 || rec.offset >= kSlotSize ||
+        rec.offset < next || rec.data == nullptr) {
+      return Status::Fail("bad page record at offset " +
+                          std::to_string(rec.offset));
+    }
+    next = rec.offset + kPage;
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 Runtime::Runtime(RuntimeConfig cfg)
@@ -123,9 +140,9 @@ void Runtime::FreeSlot(Proc* p) {
     (void)space_.Unmap(p->base + off, range.first);
   }
   p->mappings.clear();
-  // No decode-cache flush needed: Unmap bumped the address space's
-  // mutation generation, which invalidates the machine's cached blocks at
-  // its next block entry (see emu/machine.h).
+  // No decode-cache flush needed: unmapping the code pages bumped the
+  // address space's mutation generation, so the machine drops this slot's
+  // decoded blocks at its next block entry (see emu/machine.h).
   free_slots_.push_back(p->slot);
   --used_slots_;
   // Every caller marks p dead, and dead procs are never restored, so the
@@ -261,14 +278,9 @@ Result<std::shared_ptr<const snapshot::Snapshot>> Runtime::LoadSnapshot(
 
 Result<Proc*> Runtime::Instantiate(
     std::shared_ptr<const snapshot::Snapshot> snap, const Proc* parent) {
-  // Checked up front so installing cannot fail half-way: a page outside
-  // the slot would land in a neighbour's.
-  for (const auto& rec : snap->pages) {
-    if (rec.offset % kPage != 0 || rec.offset >= kSlotSize ||
-        rec.data == nullptr) {
-      return Error{"instantiate: bad page record at offset " +
-                   std::to_string(rec.offset)};
-    }
+  // Checked up front so installing cannot fail half-way.
+  if (auto st = CheckPageRecords(snap->pages); !st.ok()) {
+    return Error{"instantiate: " + st.error()};
   }
   auto slot = AllocSlot();
   if (!slot) return Error{slot.error()};
@@ -283,7 +295,7 @@ Result<Proc*> Runtime::Instantiate(
   ApplySnapshot(p.get(), *snap);
   if (parent == nullptr) {
     p->policy = cfg_.default_policy;
-    p->fds = RestoreFds(snap->fds);
+    RestoreFds(snap->fds, &p->fds);
   } else {
     p->ppid = parent->pid;
     p->policy = parent->policy;  // fault policy and limits are inherited
@@ -304,7 +316,8 @@ Result<Proc*> Runtime::Instantiate(
 }
 
 void Runtime::ApplySnapshot(Proc* p, const snapshot::Snapshot& snap) {
-  p->mappings = snap.mappings;
+  // A recycled sandbox usually still has exactly the captured mappings.
+  if (p->mappings != snap.mappings) p->mappings = snap.mappings;
   p->brk_start = snap.brk_start;
   p->brk = snap.brk;
   p->brk_mapped = snap.brk_mapped;
@@ -408,13 +421,16 @@ Result<snapshot::Snapshot> Runtime::CaptureSnapshot(int pid) const {
   return snap;
 }
 
-std::vector<FileDesc> Runtime::RestoreFds(
-    const std::vector<snapshot::FdRec>& recs) {
-  std::vector<FileDesc> fds(std::max<size_t>(recs.size(), 16));
+void Runtime::RestoreFds(const std::vector<snapshot::FdRec>& recs,
+                         std::vector<FileDesc>* fds) {
+  // Rebuilt in place, so a restore reuses the table's storage. The pipe
+  // map allocates only when a record names a pipe.
+  fds->resize(std::max<size_t>(recs.size(), 16));
+  for (FileDesc& d : *fds) d = FileDesc{};
   std::map<uint64_t, std::shared_ptr<Pipe>> pipes;
   for (size_t k = 0; k < recs.size(); ++k) {
     const snapshot::FdRec& rec = recs[k];
-    FileDesc& d = fds[k];
+    FileDesc& d = (*fds)[k];
     switch (rec.kind) {
       case snapshot::FdRec::Kind::kFree:
         break;
@@ -462,7 +478,6 @@ std::vector<FileDesc> Runtime::RestoreFds(
       }
     }
   }
-  return fds;
 }
 
 Result<int> Runtime::SpawnFromSnapshot(
@@ -564,6 +579,10 @@ Status Runtime::RestoreFromSnapshot(int pid, const snapshot::Snapshot& snap) {
     return Status::Fail("restore: process slot was freed");
   }
 
+  if (auto st = CheckPageRecords(snap.pages); !st.ok()) {
+    return Status::Fail("restore: " + st.error());
+  }
+
   InstantiationStats stats;
   stats.method = InstantiationStats::Method::kSnapshotRestore;
   stats.pages = snap.pages.size();
@@ -575,16 +594,17 @@ Status Runtime::RestoreFromSnapshot(int pid, const snapshot::Snapshot& snap) {
   }
 
   // Unmap pages the snapshot does not contain (post-capture brk growth,
-  // mmaps); install only pages whose payload or perms diverged. A clean
-  // page is pointer-identical to its captured payload — nothing to do,
-  // and if nothing at all diverged the mutation generation never bumps,
-  // so the decode cache survives the restore intact.
-  std::unordered_set<uint64_t> keep;
-  keep.reserve(snap.pages.size());
-  for (const auto& rec : snap.pages) keep.insert(rec.offset);
+  // mmaps): the live mappings and the page records both run in offset
+  // order, so one merge walk finds them. Then install only pages whose
+  // payload or perms diverged; a clean page is pointer-identical to its
+  // captured payload, so there is nothing to do. Only code pages move the
+  // mutation generation, so reinstalling the data pages a request dirtied
+  // leaves every decoded block cached.
+  auto rec = snap.pages.begin();
   for (const auto& [off, range] : p->mappings) {
     for (uint64_t po = off; po < off + range.first; po += kPage) {
-      if (keep.count(po) == 0) {
+      while (rec != snap.pages.end() && rec->offset < po) ++rec;
+      if (rec == snap.pages.end() || rec->offset != po) {
         (void)space_.Unmap(p->base + po, kPage);
         ++stats.unmapped_pages;
       }
@@ -603,7 +623,7 @@ Status Runtime::RestoreFromSnapshot(int pid, const snapshot::Snapshot& snap) {
   }
 
   ApplySnapshot(p, snap);
-  p->fds = RestoreFds(snap.fds);
+  RestoreFds(snap.fds, &p->fds);
 
   stats.cycles = cfg_.snapshot_restore_base_cycles +
                  cfg_.snapshot_restore_page_cycles *
@@ -828,10 +848,9 @@ void Runtime::AttributeSlice(Proc* p, const trace::ExecCounters& before,
   if (inval > 0) {
     m.Add(Counter::kBlockCacheInvalidations, inval);
     // arg0 is the sandbox's cumulative invalidation count, not the raw
-    // mutation generation: the generation depends on how the sandbox was
-    // instantiated (ELF load vs. snapshot spawn bump it differently), and
-    // equivalent runs must produce byte-identical traces
-    // (docs/SNAPSHOTS.md determinism contract).
+    // mutation generation: the generation counts every other sandbox's
+    // code changes too, and equivalent runs must produce byte-identical
+    // traces (docs/SNAPSHOTS.md determinism contract).
     sink_->EmitInstant(trace::EventKind::kBlockInvalidate, p->pid, Cycles(),
                        m.Get(Counter::kBlockCacheInvalidations));
   }

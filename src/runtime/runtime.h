@@ -245,8 +245,10 @@ class Runtime {
 
   // Rolls pid back to `snap` in place (same pid, slot, ppid, children,
   // captured output): installs only pages whose payload or perms diverged,
-  // unmaps stray pages, restores registers/cursors/fds/signal state. The
-  // block cache stays valid when nothing was dirtied (no generation bump).
+  // unmaps stray pages, restores registers/cursors/fds/signal state.
+  // Decoded code stays cached unless a code page diverged (only those
+  // bump the mutation generation). Fails without side effects on page
+  // records that are misaligned, outside the slot or out of order.
   // Does not charge the clock or reset restart accounting — that is the
   // caller's policy (see Supervisor::Restart).
   Status RestoreFromSnapshot(int pid, const snapshot::Snapshot& snap);
@@ -414,13 +416,14 @@ class Runtime {
   // Snapshot plumbing. CaptureInto freezes p into *out (slot-relative).
   // RebaseCpu/RelativizeCpu convert the reserved pointer registers
   // between slot-relative and canonical forms (base | low32 — the guard
-  // arithmetic). RestoreFds rebuilds a live fd table from fd records
-  // (files reopen by VFS path, pipes rehydrate privately with their
-  // buffered bytes).
+  // arithmetic). RestoreFds rebuilds the live fd table *fds in place
+  // from fd records (files reopen by VFS path, pipes rehydrate privately
+  // with their buffered bytes).
   Status CaptureInto(const Proc* p, snapshot::Snapshot* out) const;
   static emu::CpuState RebaseCpu(const emu::CpuState& rel, uint64_t base);
   static emu::CpuState RelativizeCpu(const emu::CpuState& cpu);
-  std::vector<FileDesc> RestoreFds(const std::vector<snapshot::FdRec>& recs);
+  void RestoreFds(const std::vector<snapshot::FdRec>& recs,
+                  std::vector<FileDesc>* fds);
 
   // Scheduler.
   Proc* PickNext();

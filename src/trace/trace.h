@@ -44,7 +44,7 @@ enum class Counter : uint8_t {
   kFastYields,           // fast direct-yield switches into this sandbox
   kBlockCacheHits,       // decode-cache block entries served from cache
   kBlockCacheMisses,     // block entries that had to decode
-  kBlockCacheInvalidations,  // whole-cache drops (mutation generation)
+  kBlockCacheInvalidations,  // revalidations after a code change
   kPipeBytesRead,        // bytes moved out of pipes by this sandbox
   kPipeBytesWritten,     // bytes moved into pipes by this sandbox
   kFaults,               // faults that killed this sandbox

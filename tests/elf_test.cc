@@ -87,7 +87,7 @@ buf:
   asmtext::LayoutSpec spec;
   auto img = asmtext::Assemble(*f, spec);
   ASSERT_TRUE(img.ok());
-  const ElfImage e = FromAssembled(*img);
+  const ElfView e = FromAssembled(*img);
   ASSERT_EQ(e.segments.size(), 2u);  // text + data(+bss)
   EXPECT_TRUE(e.segments[0].exec);
   EXPECT_FALSE(e.segments[0].write);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <string>
+
 #include "asmtext/assemble.h"
 #include "asmtext/parser.h"
 #include "emu/machine.h"
@@ -180,27 +184,63 @@ TEST(AddressSpace, MapRejectsOverlapUnlessFixed) {
   EXPECT_EQ(*as.Read(kPageSize, 8), 0u);
 }
 
+// The generation moves only when code can go stale: a Map, Unmap,
+// Protect or InstallPage involving a page that is executable before or
+// after, or a write landing on one. Changes confined to non-executable
+// pages (a snapshot restore reinstalling dirtied data pages) leave it
+// alone. Each bump records the pages it touched.
 TEST(AddressSpace, MutationGenerationTracksExecRelevantChanges) {
   AddressSpace as;
+  constexpr uint64_t kA = 0x4000, kB = 0x8000;  // pages 1 and 2
   uint64_t g = as.mutation_generation();
-  ASSERT_TRUE(as.Map(0x4000, kPageSize, kPermRead | kPermWrite).ok());
-  EXPECT_GT(as.mutation_generation(), g);
-  g = as.mutation_generation();
-  // Writes to non-executable pages must not bump the generation.
-  ASSERT_TRUE(as.Write(0x4000, 1, 8).ok());
   uint8_t byte = 0;
-  ASSERT_TRUE(as.HostWrite(0x4000, {&byte, 1}).ok());
-  EXPECT_EQ(as.mutation_generation(), g);
-  // Making the page executable bumps; so does every write to it after.
+  ASSERT_TRUE(as.Map(kA, kPageSize, kPermRead | kPermWrite).ok());
+  ASSERT_TRUE(as.Write(kA, 1, 8).ok());
+  ASSERT_TRUE(as.HostWrite(kA, {&byte, 1}).ok());
+  ASSERT_TRUE(as.Protect(kA, kPageSize, kPermRead).ok());
   ASSERT_TRUE(
-      as.Protect(0x4000, kPageSize, kPermRead | kPermWrite | kPermExec).ok());
-  EXPECT_GT(as.mutation_generation(), g);
-  g = as.mutation_generation();
-  ASSERT_TRUE(as.Write(0x4000, 2, 8).ok());
-  EXPECT_GT(as.mutation_generation(), g);
-  g = as.mutation_generation();
-  ASSERT_TRUE(as.HostWrite(0x4000, {&byte, 1}).ok());
-  EXPECT_GT(as.mutation_generation(), g);
+      as.Map(kA, kPageSize, kPermRead | kPermWrite, MapMode::kFixed).ok());
+  uint8_t perms = 0;
+  const auto payload = as.ExportPage(kA, &perms);
+  ASSERT_TRUE(as.InstallPage(kA, payload, perms).ok());
+  ASSERT_TRUE(as.Map(kB, kPageSize, kPermRead | kPermWrite).ok());
+  ASSERT_TRUE(as.Unmap(kB, kPageSize).ok());
+  EXPECT_EQ(as.mutation_generation(), g);
+
+  // Every change involving an exec page bumps once and records its pages.
+  auto expect_bump = [&](uint64_t lo, uint64_t hi) {
+    EXPECT_EQ(as.mutation_generation(), g + 1);
+    g = as.mutation_generation();
+    EXPECT_EQ(as.code_change(g).lo, lo);
+    EXPECT_EQ(as.code_change(g).hi, hi);
+  };
+  ASSERT_TRUE(
+      as.Protect(kA, kPageSize, kPermRead | kPermWrite | kPermExec).ok());
+  expect_bump(1, 2);
+  ASSERT_TRUE(as.Write(kA, 2, 8).ok());
+  expect_bump(1, 2);
+  ASSERT_TRUE(as.HostWrite(kA, {&byte, 1}).ok());
+  expect_bump(1, 2);
+  // A write straddling into a data page records only the exec page.
+  ASSERT_TRUE(as.Map(kB, kPageSize, kPermRead | kPermWrite).ok());
+  EXPECT_EQ(as.mutation_generation(), g);
+  ASSERT_TRUE(as.Write(kB - 4, 3, 8).ok());
+  expect_bump(1, 2);
+  ASSERT_TRUE(as.Protect(kA, kPageSize, kPermRead).ok());  // drops exec
+  expect_bump(1, 2);
+  ASSERT_TRUE(as.InstallPage(kA, payload, kPermRead | kPermExec).ok());
+  expect_bump(1, 2);
+  ASSERT_TRUE(as.InstallPage(kA, payload, kPermRead | kPermWrite).ok());
+  expect_bump(1, 2);
+  ASSERT_TRUE(as.Map(kA, 2 * kPageSize, kPermRead | kPermExec,
+                     MapMode::kFixed)
+                  .ok());
+  expect_bump(1, 3);
+  ASSERT_TRUE(as.Protect(kB, kPageSize, kPermRead | kPermWrite).ok());
+  expect_bump(2, 3);
+  // Unmapping code and data together records just the code page.
+  ASSERT_TRUE(as.Unmap(kA, 2 * kPageSize).ok());
+  expect_bump(1, 2);
 }
 
 TEST(Machine, ArithmeticLoop) {
@@ -645,6 +685,190 @@ TEST(Machine, ChainedHostMutationsMatchReferenceAcrossRuns) {
   EXPECT_EQ(chained[9], 3u);
   EXPECT_EQ(block, chained);
   EXPECT_EQ(step, chained);
+}
+
+// --- Page-scoped invalidation (docs/ABI.md, docs/DISPATCH.md) ---
+
+// Page A (kCode) loops three times through a direct branch into page B
+// (kCode + kPageSize) and back, so the chained backend links A->B and
+// B->A; x1 ends as B's `mov` immediate. Five blocks: entry, loop, back
+// and brk on A, fn on B.
+std::string TwoPageProg(int b_imm) {
+  return "  movz x9, #3\n"
+         "loop:\n"
+         "  b fn\n"
+         "back:\n"
+         "  subs x9, x9, #1\n"
+         "  b.ne loop\n"
+         "  brk #0\n"
+         "  .balign 16384\n"
+         "fn:\n"
+         "  mov x1, #" + std::to_string(b_imm) + "\n"
+         "  b back\n";
+}
+
+constexpr uint64_t kPageB = kCode + kPageSize;
+
+// Page B's bytes of TwoPageProg(b_imm), as a fresh payload.
+std::shared_ptr<AddressSpace::PageData> PageBOf(int b_imm) {
+  const asmtext::Image img = AssembleAt(TwoPageProg(b_imm));
+  EXPECT_EQ(img.text.size(), kPageSize + 8);
+  auto page = std::make_shared<AddressSpace::PageData>();
+  page->fill(0);
+  std::copy(img.text.begin() + kPageSize, img.text.end(), page->begin());
+  return page;
+}
+
+// What one run of the two-page program saw.
+struct RunLog {
+  StopReason stop;
+  uint64_t x1, retired, cycles, misses, invalidations;
+};
+
+// Runs TwoPageProg(1) once under `d`, applies `mutate`, then reruns from
+// the entry and returns the rerun's log.
+template <typename Mutate>
+RunLog RerunAfter(Dispatch d, Mutate mutate) {
+  TestVm vm(TwoPageProg(1));
+  trace::ExecCounters c;
+  vm.machine.set_dispatch(d);
+  vm.machine.set_counters(&c);
+  const uint64_t entry = vm.machine.state().pc;
+  EXPECT_EQ(vm.Run(), StopReason::kBrk);
+  EXPECT_EQ(vm.X(1), 1u);
+  mutate(vm.space);
+  vm.machine.state().pc = entry;
+  vm.machine.state().x[1] = 0;
+  const trace::ExecCounters before = c;
+  const uint64_t retired0 = vm.machine.timing().Retired();
+  const uint64_t cycles0 = vm.machine.timing().Cycles();
+  const StopReason stop = vm.Run();
+  return {stop,
+          vm.X(1),
+          vm.machine.timing().Retired() - retired0,
+          vm.machine.timing().Cycles() - cycles0,
+          c.block_misses - before.block_misses,
+          c.block_invalidations - before.block_invalidations};
+}
+
+// The mutation on all three backends: same result, retired count and
+// cycles everywhere; returns the chained backend's log.
+template <typename Mutate>
+RunLog RerunOnAllBackends(Mutate mutate) {
+  const RunLog chained = RerunAfter(Dispatch::kChained, mutate);
+  for (Dispatch d : {Dispatch::kBlock, Dispatch::kStep}) {
+    SCOPED_TRACE("dispatch " + std::to_string(int(d)));
+    const RunLog ref = RerunAfter(d, mutate);
+    EXPECT_EQ(ref.stop, chained.stop);
+    EXPECT_EQ(ref.x1, chained.x1);
+    EXPECT_EQ(ref.retired, chained.retired);
+    EXPECT_EQ(ref.cycles, chained.cycles);
+    EXPECT_EQ(ref.invalidations, chained.invalidations);
+    if (d == Dispatch::kBlock) {
+      EXPECT_EQ(ref.misses, chained.misses);
+    }
+  }
+  return chained;
+}
+
+// Installing new code on page B (what a snapshot spawn into a reused slot
+// does) keeps page A's four blocks cached: the rerun decodes only B's.
+TEST(Machine, ReplacingOnePageKeepsOtherPagesDecoded) {
+  const RunLog log = RerunOnAllBackends([](AddressSpace& as) {
+    ASSERT_TRUE(as.InstallPage(kPageB, PageBOf(2), kPermRead | kPermExec)
+                    .ok());
+  });
+  EXPECT_EQ(log.stop, StopReason::kBrk);
+  EXPECT_EQ(log.x1, 2u);
+  EXPECT_EQ(log.misses, 1u);
+  EXPECT_EQ(log.invalidations, 1u);
+}
+
+// The A->B chain links were installed by the first run; remapping B and
+// writing new code there must sever them, so the branch runs the new
+// bytes (a surviving link would run the old block, or freed memory).
+TEST(Machine, ChainedBranchIntoReplacedPageRunsNewCode) {
+  const RunLog log = RerunOnAllBackends([](AddressSpace& as) {
+    ASSERT_TRUE(as.Map(kPageB, kPageSize, kPermRead | kPermExec,
+                       MapMode::kFixed)
+                    .ok());
+    const auto page = PageBOf(3);
+    ASSERT_TRUE(as.HostWrite(kPageB, {page->data(), page->size()}).ok());
+  });
+  EXPECT_EQ(log.stop, StopReason::kBrk);
+  EXPECT_EQ(log.x1, 3u);
+  EXPECT_EQ(log.misses, 1u);
+}
+
+// More code changes than the ring remembers: B's replacement scrolls out
+// of it behind 70 writes to an unrelated exec page, so the machine must
+// fall back to dropping everything and still run only current code.
+TEST(Machine, RingOverrunDropsAllDecodedCode) {
+  const RunLog log = RerunOnAllBackends([](AddressSpace& as) {
+    ASSERT_TRUE(as.InstallPage(kPageB, PageBOf(4), kPermRead | kPermExec)
+                    .ok());
+    const uint8_t byte = 0;
+    for (uint64_t k = 0; k < AddressSpace::kCodeChangeRing + 6; ++k) {
+      ASSERT_TRUE(as.HostWrite(kCode + 4 * kPageSize, {&byte, 1}).ok());
+    }
+  });
+  EXPECT_EQ(log.stop, StopReason::kBrk);
+  EXPECT_EQ(log.x1, 4u);
+  EXPECT_EQ(log.misses, 5u);  // every block re-decoded
+}
+
+// Dropping exec on page B alone: A's blocks stay cached, but the branch
+// into B (chained in the first run) must fault at fetch.
+TEST(Machine, ProtectDroppingExecOnOnePageFaultsTheNextFetch) {
+  for (Dispatch d : {Dispatch::kChained, Dispatch::kBlock, Dispatch::kStep}) {
+    SCOPED_TRACE("dispatch " + std::to_string(int(d)));
+    TestVm vm(TwoPageProg(1));
+    vm.machine.set_dispatch(d);
+    const uint64_t entry = vm.machine.state().pc;
+    ASSERT_EQ(vm.Run(), StopReason::kBrk);
+    ASSERT_TRUE(vm.space.Protect(kPageB, kPageSize, kPermRead).ok());
+    vm.machine.state().pc = entry;
+    ASSERT_EQ(vm.Run(), StopReason::kFault);
+    EXPECT_EQ(vm.machine.fault().kind, CpuFault::Kind::kFetch);
+    EXPECT_EQ(vm.machine.fault().pc, kPageB);
+  }
+}
+
+// ldp with xzr in either destination slot, plain and post-indexed: the
+// discarded load's scoreboard entry must go nowhere (it used to write
+// one entry before the scoreboard), and every backend must agree on the
+// cycles.
+TEST(Machine, LdpWithZeroRegisterDestinations) {
+  const char* src =
+      "  movz x10, #0x21, lsl #16\n"
+      "  mov x1, #11\n"
+      "  mov x2, #22\n"
+      "  stp x1, x2, [x10]\n"
+      "  stp x1, x2, [x10, #16]\n"
+      "  ldp xzr, x3, [x10]\n"
+      "  ldp x4, xzr, [x10]\n"
+      "  ldp xzr, x5, [x10], #16\n"
+      "  ldp x6, xzr, [x10], #-16\n"
+      "  add x7, x3, x4\n"
+      "  brk #0\n";
+  uint64_t want_cycles = 0;
+  for (Dispatch d : {Dispatch::kChained, Dispatch::kBlock, Dispatch::kStep}) {
+    SCOPED_TRACE("dispatch " + std::to_string(int(d)));
+    TestVm vm(src);
+    vm.machine.set_dispatch(d);
+    ASSERT_EQ(vm.Run(), StopReason::kBrk);
+    EXPECT_EQ(vm.X(3), 22u);
+    EXPECT_EQ(vm.X(4), 11u);
+    EXPECT_EQ(vm.X(5), 22u);
+    EXPECT_EQ(vm.X(6), 11u);
+    EXPECT_EQ(vm.X(7), 33u);
+    EXPECT_EQ(vm.X(10), 0x210000u);
+    if (d == Dispatch::kChained) {
+      want_cycles = vm.machine.timing().Cycles();
+    } else {
+      EXPECT_EQ(vm.machine.timing().Cycles(), want_cycles);
+    }
+  }
 }
 
 // --- Timing model properties ---

@@ -413,6 +413,33 @@ TEST(Snapshot, RestoreCountsOnlyDivergedAndStrayPages) {
       t.rt.space().HostRead(t.P()->base + stray_off, {&scratch, 1}).ok());
 }
 
+// Restore merge-walks the live mappings against the page records, so it
+// refuses records out of offset order or outside the slot (one there
+// would land in a neighbour's) before touching the sandbox.
+TEST(Snapshot, RestoreRejectsDisorderedOrOutOfSlotPageRecords) {
+  Loaded t(kHelloProg);
+  ASSERT_GE(t.pid, 0);
+  auto snap = Capture(t.rt, t.pid);
+  ASSERT_NE(snap, nullptr);
+  ASSERT_GE(snap->pages.size(), 2u);
+  const uint64_t stack_off = t.P()->mappings.rbegin()->first;
+  const uint8_t poke = 0x77;
+  ASSERT_TRUE(t.rt.space().HostWrite(t.P()->base + stack_off, {&poke, 1}).ok());
+
+  Snapshot swapped = *snap;
+  std::swap(swapped.pages[0], swapped.pages[1]);
+  EXPECT_FALSE(t.rt.RestoreFromSnapshot(t.pid, swapped).ok());
+  Snapshot outside = *snap;
+  outside.pages.back().offset = runtime::kSlotSize;
+  EXPECT_FALSE(t.rt.RestoreFromSnapshot(t.pid, outside).ok());
+  uint8_t byte = 0;
+  ASSERT_TRUE(t.rt.space().HostRead(t.P()->base + stack_off, {&byte, 1}).ok());
+  EXPECT_EQ(byte, poke);  // untouched by the refused restores
+
+  ASSERT_TRUE(t.rt.RestoreFromSnapshot(t.pid, *snap).ok());
+  EXPECT_EQ(t.rt.last_instantiation().dirty_pages, 1u);
+}
+
 // ---- Spawn ---------------------------------------------------------------
 
 TEST(Snapshot, SpawnedSandboxRunsIdenticallyToOriginal) {
